@@ -390,6 +390,9 @@ int main(int argc, char** argv) {
   // and the GEMM speedup under test would be invisible.
   const core::EncoderConfig timing_config;  // production defaults
   core::TemporalPathEncoder timing_encoder(city.features, timing_config);
+  // The full rung serves through the generation's packed weights, so the
+  // fp32 legs time that path.
+  const auto timing_packed = timing_encoder.PackWeights();
   std::shared_ptr<const quant::QuantizedEncoder> timing_twin;
   {
     std::vector<core::PathTimeItem> calibration;
@@ -418,8 +421,9 @@ int main(int argc, char** argv) {
     }
     Stopwatch sw_fp32;
     for (const auto& it : items) {
-      auto v = timing_encoder.EncodeValue(*it.path, it.depart_time_s);
-      TPR_CHECK(!v.empty());
+      auto v = timing_encoder.EncodeValueCancellable(
+          *it.path, it.depart_time_s, {}, timing_packed.get());
+      TPR_CHECK(v.has_value());
     }
     fp32_seconds = sw_fp32.ElapsedSeconds();
     Stopwatch sw_int8;
@@ -438,8 +442,9 @@ int main(int argc, char** argv) {
       const size_t n = std::min(kTimingBatch, items.size() - i);
       const std::vector<core::PathTimeItem> chunk(items.begin() + i,
                                                   items.begin() + i + n);
-      auto rows = timing_encoder.EncodeValueBatch(chunk);
-      TPR_CHECK(rows.size() == n);
+      auto rows = timing_encoder.EncodeValueBatchCancellable(
+          chunk, {}, timing_packed.get());
+      TPR_CHECK(rows.has_value() && rows->size() == n);
     }
     fp32_batch_seconds = sw_fp32_batch.ElapsedSeconds();
     Stopwatch sw_int8_batch;

@@ -41,33 +41,6 @@ int TemporalPathEncoder::input_dim() const {
   return dim;
 }
 
-nn::Var TemporalPathEncoder::BuildStaticFeatures(const graph::Path& path,
-                                                 int64_t depart_time_s) const {
-  const auto& network = *features_->data->network;
-  const int d_road = features_->config.road_embedding_dim;
-  const int d_topo = 2 * d_road;
-  const int d_tem =
-      config_.use_temporal ? features_->config.temporal_embedding_dim : 0;
-  const int T = static_cast<int>(path.size());
-
-  nn::Tensor static_features(T, d_topo + d_tem);
-  const int t_node = features_->TemporalNodeFor(depart_time_s);
-  const auto& t_vec = features_->temporal_embeddings[t_node];
-  for (int i = 0; i < T; ++i) {
-    const auto& e = network.edge(path[i]);
-    const auto& from_vec = features_->road_embeddings[e.from];
-    const auto& to_vec = features_->road_embeddings[e.to];
-    float* row = static_features.data() +
-                 static_cast<size_t>(i) * (d_topo + d_tem);
-    std::copy(from_vec.begin(), from_vec.end(), row);
-    std::copy(to_vec.begin(), to_vec.end(), row + d_road);
-    if (config_.use_temporal) {
-      std::copy(t_vec.begin(), t_vec.end(), row + d_topo);
-    }
-  }
-  return nn::Var::Leaf(std::move(static_features), /*requires_grad=*/false);
-}
-
 EncodedPath TemporalPathEncoder::Encode(const graph::Path& path,
                                         int64_t depart_time_s) const {
   auto out = EncodeImpl(path, depart_time_s, /*cancelled=*/nullptr);
@@ -81,11 +54,8 @@ std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
   TPR_CHECK(!path.empty());
   const auto& network = *features_->data->network;
   const int T = static_cast<int>(path.size());
-  const auto is_cancelled = [cancelled] {
-    return cancelled != nullptr && *cancelled && (*cancelled)();
-  };
 
-  if (is_cancelled()) return std::nullopt;
+  if (Cancelled(cancelled)) return std::nullopt;
   std::vector<int> rt_ids(T), lane_ids(T), ow_ids(T), ts_ids(T);
   for (int i = 0; i < T; ++i) {
     const auto& e = network.edge(path[i]);
@@ -97,17 +67,24 @@ std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
 
   // s_type = [M_RT s_RT, M_NoL s_NoL, M_OW s_OW, M_TS s_TS]      (Eq. 3-4)
   // s_all  = [s_rn, s_type], x = [t_all, s_all]                  (Eq. 5-6)
-  nn::Var x = nn::ConcatCols({road_type_emb_->Forward(rt_ids),
-                              lanes_emb_->Forward(lane_ids),
-                              oneway_emb_->Forward(ow_ids),
-                              signal_emb_->Forward(ts_ids),
-                              BuildStaticFeatures(path, depart_time_s)});
+  // The frozen node2vec [+ temporal] columns come from the engine's
+  // feature rows; the categorical ones from the trainable tables.
+  const int dim = input_dim();
+  const int d_cat =
+      config_.d_rt + config_.d_lanes + config_.d_oneway + config_.d_signal;
+  nn::Tensor rows(T, dim);
+  FillFeatureRows(*features_, feature_tables(), path, depart_time_s,
+                  rows.data(), dim);
+  nn::Var x = nn::ConcatCols(
+      {road_type_emb_->Forward(rt_ids), lanes_emb_->Forward(lane_ids),
+       oneway_emb_->Forward(ow_ids), signal_emb_->Forward(ts_ids),
+       nn::SliceCols(nn::Var::Leaf(std::move(rows)), d_cat, dim - d_cat)});
 
-  if (is_cancelled()) return std::nullopt;
+  if (Cancelled(cancelled)) return std::nullopt;
   EncodedPath out;
   out.edge_reps = lstm_ != nullptr ? lstm_->Forward(x)
                                    : transformer_->Forward(x);  // Eq. 7
-  if (is_cancelled()) return std::nullopt;
+  if (Cancelled(cancelled)) return std::nullopt;
   switch (config_.aggregation) {            // Eq. 8 (mean by default)
     case Aggregation::kMean:
       out.tpr = nn::RowMean(out.edge_reps);
@@ -132,74 +109,43 @@ std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
   return out;
 }
 
-std::optional<nn::Var> TemporalPathEncoder::EncodeBatchImpl(
-    const std::vector<PathTimeItem>& items,
-    const std::function<bool()>* cancelled) const {
-  TPR_CHECK(!items.empty());
-  const auto& network = *features_->data->network;
-  const int B = static_cast<int>(items.size());
-  const auto is_cancelled = [cancelled] {
-    return cancelled != nullptr && *cancelled && (*cancelled)();
+FeatureTables TemporalPathEncoder::feature_tables() const {
+  const auto view = [](const nn::Embedding& emb) {
+    const nn::Tensor& t = emb.table().value();
+    return TableView{t.data(), t.rows(), t.cols()};
   };
+  return FeatureTables{view(*road_type_emb_), view(*lanes_emb_),
+                       view(*oneway_emb_),    view(*signal_emb_),
+                       config_.use_temporal,  input_dim()};
+}
 
-  if (is_cancelled()) return std::nullopt;
-  std::vector<int> lengths(items.size());
-  int max_len = 0;
-  for (int b = 0; b < B; ++b) {
-    TPR_CHECK(items[b].path != nullptr && !items[b].path->empty());
-    lengths[b] = static_cast<int>(items[b].path->size());
-    max_len = std::max(max_len, lengths[b]);
-  }
-  const int rows = max_len * B;
+std::optional<nn::Var> TemporalPathEncoder::EncodeBatchImpl(
+    const PathTimeItem* items, size_t n,
+    const std::function<bool()>* cancelled) const {
+  TPR_CHECK(n > 0);
+  const int B = static_cast<int>(n);
 
-  // Time-major categorical ids: row t*B + b describes edge t of path b.
-  // Padding rows use id 0 (a valid table row); their lookups are
-  // discarded by the masked aggregation, never read.
-  std::vector<int> rt_ids(rows, 0), lane_ids(rows, 0), ow_ids(rows, 0),
-      ts_ids(rows, 0);
-  const int d_road = features_->config.road_embedding_dim;
-  const int d_topo = 2 * d_road;
-  const int d_tem =
-      config_.use_temporal ? features_->config.temporal_embedding_dim : 0;
-  // Zero-initialised so padding rows carry zeros.
-  nn::Tensor static_features(rows, d_topo + d_tem);
-  for (int b = 0; b < B; ++b) {
-    const graph::Path& path = *items[b].path;
-    const int t_node = features_->TemporalNodeFor(items[b].depart_time_s);
-    const auto& t_vec = features_->temporal_embeddings[t_node];
-    for (int t = 0; t < lengths[b]; ++t) {
-      const int r = t * B + b;
-      const auto& e = network.edge(path[t]);
-      rt_ids[r] = static_cast<int>(e.road_type);
-      lane_ids[r] = e.num_lanes - 1;
-      ow_ids[r] = e.one_way ? 1 : 0;
-      ts_ids[r] = e.has_signal ? 1 : 0;
-      const auto& from_vec = features_->road_embeddings[e.from];
-      const auto& to_vec = features_->road_embeddings[e.to];
-      float* row = static_features.data() +
-                   static_cast<size_t>(r) * (d_topo + d_tem);
-      std::copy(from_vec.begin(), from_vec.end(), row);
-      std::copy(to_vec.begin(), to_vec.end(), row + d_road);
-      if (config_.use_temporal) {
-        std::copy(t_vec.begin(), t_vec.end(), row + d_topo);
-      }
-    }
-  }
-
+  if (Cancelled(cancelled)) return std::nullopt;
   nn::PaddedBatch pb;
-  pb.data = nn::ConcatCols(
-      {road_type_emb_->Forward(rt_ids), lanes_emb_->Forward(lane_ids),
-       oneway_emb_->Forward(ow_ids), signal_emb_->Forward(ts_ids),
-       nn::Var::Leaf(std::move(static_features))});
-  pb.lengths = std::move(lengths);
   pb.batch = B;
-  pb.max_len = max_len;
+  for (size_t b = 0; b < n; ++b) {
+    TPR_CHECK(items[b].path != nullptr && !items[b].path->empty());
+    pb.lengths.push_back(static_cast<int>(items[b].path->size()));
+    pb.max_len = std::max(pb.max_len, pb.lengths.back());
+  }
+  // Time-major rows t*B + b; padding rows stay zero and are never read.
+  const int dim = input_dim();
+  const FeatureTables tables = feature_tables();
+  nn::Tensor x(pb.rows(), dim);
+  for (size_t b = 0; b < n; ++b) {
+    FillFeatureRows(*features_, tables, *items[b].path, items[b].depart_time_s,
+                    x.data() + b * dim, static_cast<size_t>(B) * dim);
+  }
+  pb.data = nn::Var::Leaf(std::move(x));
 
-  if (is_cancelled()) return std::nullopt;
-  const nn::PaddedBatch edge_reps = lstm_ != nullptr
-                                        ? lstm_->ForwardBatch(pb)
-                                        : transformer_->ForwardBatch(pb);
-  if (is_cancelled()) return std::nullopt;
+  if (Cancelled(cancelled)) return std::nullopt;
+  const nn::PaddedBatch edge_reps = transformer_->ForwardBatch(pb);
+  if (Cancelled(cancelled)) return std::nullopt;
   switch (config_.aggregation) {
     case Aggregation::kMean:
       return nn::SequenceMeanBatch(edge_reps.data, edge_reps.lengths);
@@ -216,52 +162,62 @@ std::optional<nn::Var> TemporalPathEncoder::EncodeBatchImpl(
   return std::nullopt;  // unreachable
 }
 
+std::optional<std::vector<std::vector<float>>>
+TemporalPathEncoder::EncodeValues(const PathTimeItem* items, size_t n,
+                                  const std::function<bool()>* cancelled,
+                                  const LstmWeights* packed) const {
+  if (lstm_ != nullptr) {
+    const Fp32LstmWeights live(*lstm_, /*pack=*/false);
+    return EncodeLstmRows(packed != nullptr ? *packed : live, *features_,
+                          feature_tables(), config_.aggregation, items,
+                          static_cast<int>(n), cancelled);
+  }
+  nn::NoGradGuard no_grad;
+  auto tprs = EncodeBatchImpl(items, n, cancelled);
+  if (!tprs.has_value()) return std::nullopt;
+  const float* v = tprs->value().data();
+  const size_t h = static_cast<size_t>(config_.d_hidden);
+  std::vector<std::vector<float>> out(n);
+  for (size_t i = 0; i < n; ++i) out[i].assign(v + i * h, v + (i + 1) * h);
+  return out;
+}
+
 std::vector<std::vector<float>> TemporalPathEncoder::EncodeValueBatch(
     const std::vector<PathTimeItem>& items) const {
-  nn::NoGradGuard no_grad;
-  auto tprs = EncodeBatchImpl(items, /*cancelled=*/nullptr);
-  TPR_CHECK(tprs.has_value());  // never cancelled without a callback
-  const nn::Tensor& v = tprs->value();
-  std::vector<std::vector<float>> out(items.size());
-  for (size_t b = 0; b < items.size(); ++b) {
-    const float* row = v.data() + b * v.cols();
-    out[b].assign(row, row + v.cols());
-  }
-  return out;
+  return *EncodeValues(items.data(), items.size(), nullptr, nullptr);
 }
 
 std::optional<std::vector<std::vector<float>>>
 TemporalPathEncoder::EncodeValueBatchCancellable(
     const std::vector<PathTimeItem>& items,
-    const std::function<bool()>& cancelled) const {
-  nn::NoGradGuard no_grad;
-  auto tprs = EncodeBatchImpl(items, &cancelled);
-  if (!tprs.has_value()) return std::nullopt;
-  const nn::Tensor& v = tprs->value();
-  std::vector<std::vector<float>> out(items.size());
-  for (size_t b = 0; b < items.size(); ++b) {
-    const float* row = v.data() + b * v.cols();
-    out[b].assign(row, row + v.cols());
-  }
-  return out;
+    const std::function<bool()>& cancelled, const LstmWeights* packed) const {
+  return EncodeValues(items.data(), items.size(), &cancelled, packed);
 }
 
 std::vector<float> TemporalPathEncoder::EncodeValue(
     const graph::Path& path, int64_t depart_time_s) const {
-  nn::NoGradGuard no_grad;
-  const EncodedPath encoded = Encode(path, depart_time_s);
-  const nn::Tensor& v = encoded.tpr.value();
-  return std::vector<float>(v.data(), v.data() + v.size());
+  return *EncodeValueCancellable(path, depart_time_s, {});
 }
 
 std::optional<std::vector<float>> TemporalPathEncoder::EncodeValueCancellable(
     const graph::Path& path, int64_t depart_time_s,
-    const std::function<bool()>& cancelled) const {
+    const std::function<bool()>& cancelled, const LstmWeights* packed) const {
+  if (lstm_ != nullptr) {
+    const PathTimeItem item{&path, depart_time_s};
+    auto out = EncodeValues(&item, 1, &cancelled, packed);
+    if (!out.has_value()) return std::nullopt;
+    return std::move(out->front());
+  }
   nn::NoGradGuard no_grad;
   const auto encoded = EncodeImpl(path, depart_time_s, &cancelled);
   if (!encoded.has_value()) return std::nullopt;
   const nn::Tensor& v = encoded->tpr.value();
   return std::vector<float>(v.data(), v.data() + v.size());
+}
+
+std::shared_ptr<const LstmWeights> TemporalPathEncoder::PackWeights() const {
+  if (lstm_ == nullptr) return nullptr;
+  return std::make_shared<const Fp32LstmWeights>(*lstm_, /*pack=*/true);
 }
 
 std::vector<nn::Var> TemporalPathEncoder::Parameters() const {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/features.h"
+#include "core/lstm_engine.h"
 #include "nn/modules.h"
 #include "nn/transformer.h"
 
@@ -80,35 +81,40 @@ class TemporalPathEncoder : public nn::Module {
   /// Encodes a temporal path (edge sequence + departure time).
   EncodedPath Encode(const graph::Path& path, int64_t depart_time_s) const;
 
-  /// Encodes and returns the TPR values only, without building an autograd
-  /// graph (for downstream probes).
+  /// Encodes and returns the TPR values only, without an autograd graph
+  /// (LSTM: the engine of core/lstm_engine.h), bitwise equal to
+  /// Encode(...).tpr.
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
   /// Like EncodeValue, but polls `cancelled` between pipeline stages
-  /// (feature assembly, sequence model, aggregation/projection) and
+  /// (feature assembly, each sequence-model layer, aggregation) and
   /// returns nullopt as soon as it observes true. This is how
   /// tpr::serve propagates request deadlines into a forward pass that
   /// is already running: cancellation is cooperative and stage-granular,
-  /// never mid-matmul.
+  /// never mid-matmul. `packed` (optional, LSTM only) is this encoder's
+  /// PackWeights() snapshot; it changes speed, never results.
   std::optional<std::vector<float>> EncodeValueCancellable(
       const graph::Path& path, int64_t depart_time_s,
-      const std::function<bool()>& cancelled) const;
+      const std::function<bool()>& cancelled,
+      const LstmWeights* packed = nullptr) const;
 
-  /// Batched EncodeValue: encodes N (path, time) items through ONE
-  /// padded forward pass (one gate GEMM per LSTM step for the whole
-  /// batch) and returns one TPR per item, in order. Under the scalar
-  /// kernel each returned embedding is bitwise identical to the
-  /// corresponding single EncodeValue (see nn/padded_batch.h); the
-  /// batched serve pipeline and batch_test rely on this.
+  /// Batched EncodeValue: one forward, one TPR per item, in order, each
+  /// bitwise the single EncodeValue (LSTM: under either kernel;
+  /// transformer: under the scalar kernel, see nn/padded_batch.h).
   std::vector<std::vector<float>> EncodeValueBatch(
       const std::vector<PathTimeItem>& items) const;
 
-  /// Cancellable batched variant; `cancelled` (may be empty) is polled
-  /// between pipeline stages, like EncodeValueCancellable.
+  /// Cancellable batched variant; `cancelled` (may be empty) and
+  /// `packed` behave as in EncodeValueCancellable.
   std::optional<std::vector<std::vector<float>>> EncodeValueBatchCancellable(
       const std::vector<PathTimeItem>& items,
-      const std::function<bool()>& cancelled) const;
+      const std::function<bool()>& cancelled,
+      const LstmWeights* packed = nullptr) const;
+
+  /// The LSTM weights with their GEMM panels packed once (see
+  /// Fp32LstmWeights), for a served generation. Null for transformers.
+  std::shared_ptr<const LstmWeights> PackWeights() const;
 
   std::vector<nn::Var> Parameters() const override;
 
@@ -132,17 +138,21 @@ class TemporalPathEncoder : public nn::Module {
       const graph::Path& path, int64_t depart_time_s,
       const std::function<bool()>* cancelled) const;
 
-  /// The frozen spatio-temporal input sequence for a path (T x input_dim
-  /// minus the trainable categorical part, see Encode()).
-  nn::Var BuildStaticFeatures(const graph::Path& path,
-                              int64_t depart_time_s) const;
+  /// Shared pipeline behind the EncodeValue* entry points: the engine for
+  /// LSTM encoders, the graph for transformers. nullopt on cancellation.
+  std::optional<std::vector<std::vector<float>>> EncodeValues(
+      const PathTimeItem* items, size_t n,
+      const std::function<bool()>* cancelled,
+      const LstmWeights* packed) const;
 
-  /// Batched pipeline behind EncodeValueBatch*: assembles one padded
-  /// time-major feature batch, runs the batched sequence model, and
-  /// applies the masked aggregation. Returns the (batch x d_hidden) TPR
-  /// matrix, or nullopt on cancellation.
+  /// The categorical embedding tables as the engine's feature-row views.
+  FeatureTables feature_tables() const;
+
+  /// Transformer batch: one padded time-major feature batch through the
+  /// batched transformer and the masked aggregation. Returns the (batch x
+  /// d_hidden) TPR matrix, or nullopt on cancellation.
   std::optional<nn::Var> EncodeBatchImpl(
-      const std::vector<PathTimeItem>& items,
+      const PathTimeItem* items, size_t n,
       const std::function<bool()>* cancelled) const;
 
   std::shared_ptr<const FeatureSpace> features_;

@@ -149,18 +149,24 @@ inline void Tile8(const float* abase, size_t a_row_stride, size_t a_k_stride,
 }
 
 // Shared driver for out += op(A) * B with op(A) addressed through the
-// two strides (see Tile16).
+// two strides (see Tile16). `prepacked`, when non-null, holds every full
+// 16-column panel of B in PackPanels order, so no panel is copied here.
 void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
-                  const float* b, float* out, int m, int k, int n) {
+                  const float* b, const float* prepacked, float* out, int m,
+                  int k, int n) {
   FloatBuffer pack;
-  const bool do_pack = m >= kPackMinRows && n >= kPanel;
+  const bool do_pack =
+      prepacked == nullptr && m >= kPackMinRows && n >= kPanel;
   if (do_pack) pack = FloatBuffer(static_cast<size_t>(k) * kPanel);
 
   int j = 0;
   for (; j + kPanel <= n; j += kPanel) {
     const float* bcol = b + j;
     size_t bstride = static_cast<size_t>(n);
-    if (do_pack) {
+    if (prepacked != nullptr) {
+      bcol = prepacked + static_cast<size_t>(j) * k;
+      bstride = kPanel;
+    } else if (do_pack) {
       PackB16(b, k, n, j, pack.data());
       bcol = pack.data();
       bstride = kPanel;
@@ -214,13 +220,18 @@ void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
 
 void GemmAcc(const float* a, const float* b, float* out, int m, int k,
              int n) {
-  GemmStridedA(a, static_cast<size_t>(k), 1, b, out, m, k, n);
+  GemmStridedA(a, static_cast<size_t>(k), 1, b, nullptr, out, m, k, n);
+}
+
+void GemmAccPacked(const float* a, const float* b, const float* packed,
+                   float* out, int m, int k, int n) {
+  GemmStridedA(a, static_cast<size_t>(k), 1, b, packed, out, m, k, n);
 }
 
 void GemmTransAAcc(const float* a, const float* b, float* out, int k, int m,
                    int n) {
   // A is k x m; element (i, kk) of A^T sits at a[kk * m + i].
-  GemmStridedA(a, 1, static_cast<size_t>(m), b, out, m, k, n);
+  GemmStridedA(a, 1, static_cast<size_t>(m), b, nullptr, out, m, k, n);
 }
 
 void GemmTransBAcc(const float* a, const float* b, float* out, int m, int k,

@@ -201,6 +201,33 @@ void GemmAcc(const float* a, const float* b, float* out, int m, int k,
   scalar::GemmAcc(a, b, out, m, k, n);
 }
 
+size_t PackedPanelsSize(int k, int n) {
+  return k <= 0 || n <= 0 ? 0 : static_cast<size_t>(k) * (n / 16 * 16);
+}
+
+void PackPanels(const float* b, int k, int n, float* packed) {
+  for (int j = 0; j + 16 <= n; j += 16) {
+    for (int kk = 0; kk < k; ++kk) {
+      std::memcpy(packed, b + static_cast<size_t>(kk) * n + j,
+                  16 * sizeof(float));
+      packed += 16;
+    }
+  }
+}
+
+void GemmAccPacked(const float* a, const float* b, const float* packed,
+                   float* out, int m, int k, int n) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+#if !defined(TPR_NO_AVX2)
+  if (ActiveKernel() == Kernel::kAvx2) {
+    avx2::GemmAccPacked(a, b, packed, out, m, k, n);
+    return;
+  }
+#endif
+  (void)packed;  // the scalar kernel reads b directly
+  scalar::GemmAcc(a, b, out, m, k, n);
+}
+
 void GemmTransAAcc(const float* a, const float* b, float* out, int k, int m,
                    int n) {
   if (m <= 0 || n <= 0 || k <= 0) return;

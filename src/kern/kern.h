@@ -55,6 +55,23 @@ Kernel ResolveKernelSpec(const char* spec);
 /// out(m x n) += a(m x k) * b(k x n)
 void GemmAcc(const float* a, const float* b, float* out, int m, int k, int n);
 
+/// Floats PackPanels writes for a (k x n) b: its full 16-column panels.
+size_t PackedPanelsSize(int k, int n);
+
+/// Copies the full 16-column panels of b (k x n) into `packed`, panel by
+/// panel, each as k contiguous rows of 16 floats — the layout the avx2
+/// GemmAcc otherwise builds on every call with m >= 8. Columns past the
+/// last full panel are not copied.
+void PackPanels(const float* b, int k, int n, float* packed);
+
+/// GemmAcc with b's full panels read from `packed` (PackPanels(b)). A
+/// pack changes only the stride at which b is read, never the
+/// arithmetic, so results are bitwise equal to GemmAcc(a, b, out, m, k,
+/// n) under either kernel. `b` still serves the tail columns and the
+/// scalar kernel.
+void GemmAccPacked(const float* a, const float* b, const float* packed,
+                   float* out, int m, int k, int n);
+
 /// out(m x n) += a(k x m)^T * b(k x n)
 void GemmTransAAcc(const float* a, const float* b, float* out, int k, int m,
                    int n);

@@ -11,6 +11,8 @@
 namespace tpr::kern::avx2 {
 
 void GemmAcc(const float* a, const float* b, float* out, int m, int k, int n);
+void GemmAccPacked(const float* a, const float* b, const float* packed,
+                   float* out, int m, int k, int n);
 void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* out, int m, int k,
               int n);
 void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,

@@ -521,22 +521,6 @@ Var SliceRow(const Var& a, int r) {
   });
 }
 
-Var SliceRows(const Var& a, int start, int len) {
-  TPR_CHECK(start >= 0 && len > 0 && start + len <= a.rows());
-  const int n = a.cols();
-  Tensor out = Tensor::Uninitialized(len, n);
-  const float* src = a.value().data() + static_cast<size_t>(start) * n;
-  std::copy(src, src + static_cast<size_t>(len) * n, out.data());
-  return MakeOp(std::move(out), {a}, [start, len, n](internal::VarImpl* self) {
-    internal::VarImpl* a_impl = self->parents[0].get();
-    if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
-    kern::AddAcc(self->grad.data(),
-                 a_impl->grad.data() + static_cast<size_t>(start) * n,
-                 len * n);
-  });
-}
-
 Var Gather(const Var& table, const std::vector<int>& indices) {
   const int n = table.cols();
   Tensor out = Tensor::Uninitialized(static_cast<int>(indices.size()), n);

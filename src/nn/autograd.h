@@ -221,11 +221,6 @@ Var SliceCols(const Var& a, int start, int len);
 /// Selects row r of an m x n matrix as a 1 x n vector.
 Var SliceRow(const Var& a, int r);
 
-/// Contiguous row slice [start, start + len) of an m x n matrix as a
-/// len x n matrix. The time-major batched recurrent step: timestep t of
-/// a PaddedBatch is SliceRows(data, t * batch, batch).
-Var SliceRows(const Var& a, int start, int len);
-
 /// Row gather: selects rows of `table` by index (embedding lookup).
 /// Backward scatter-adds into the table's gradient.
 Var Gather(const Var& table, const std::vector<int>& indices);

@@ -1,24 +1,17 @@
 #ifndef TPR_NN_PADDED_BATCH_H_
 #define TPR_NN_PADDED_BATCH_H_
 
-// Variable-length sequence batches for the recurrent and attention
-// modules.
+// Variable-length sequence batches for the batched transformer forward.
+// (The LSTM encoder's batched inference is the tape-free engine of
+// core/lstm_engine.h, which never materialises padded rows.)
 //
 // A PaddedBatch packs B sequences of lengths len_0..len_{B-1} into one
 // dense tensor in TIME-MAJOR layout: row t*batch + b holds timestep t of
-// sequence b, for t in [0, max_len). Timestep t of the whole batch is
-// therefore the contiguous row slice [t*batch, (t+1)*batch), which is
-// exactly what a step-wise recurrent cell wants: one (batch x input)
-// GEMM per gate instead of batch small ones.
+// sequence b, for t in [0, max_len).
 //
-// Padding rows (t >= lengths[b]) carry zeros on entry. The recurrent
-// forwards do NOT mask the recurrence: the output at a valid step t <
-// lengths[b] depends only on states from earlier valid steps of the same
-// sequence, so padded-step pollution only ever reaches padded-step
-// outputs — which the masked aggregations (SequenceMeanBatch,
-// SequenceMaxBatch, last-state gather) and the masked attention softmax
-// never read. Padded states stay finite because the cells are
-// sigmoid/tanh-bounded and padded inputs are zeros.
+// Padding rows (t >= lengths[b]) carry zeros on entry. The masked
+// attention and the masked aggregations (SequenceMeanBatch,
+// SequenceMaxBatch, last-state gather) never read them.
 //
 // Bitwise contract: for every op in this pipeline, output row t*batch+b
 // with t < lengths[b] is bitwise identical to row t of the same module's
@@ -40,12 +33,6 @@ struct PaddedBatch {
   int rows() const { return batch * max_len; }
   int row(int t, int b) const { return t * batch + b; }
 };
-
-/// Packs B single sequences (each rows x dim, rows >= 1) into a padded
-/// time-major batch. Padding rows are zero. This is the leaf-building
-/// path used by tests and by callers that already hold per-sequence
-/// tensors; the encoder assembles its batch directly from feature ids.
-PaddedBatch PackSequences(const std::vector<Tensor>& sequences);
 
 }  // namespace tpr::nn
 

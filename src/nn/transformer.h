@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "nn/modules.h"
+#include "nn/padded_batch.h"
 
 namespace tpr::nn {
 

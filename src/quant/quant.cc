@@ -24,12 +24,6 @@ constexpr uint32_t kModelVersion = 1;
 // allocation.
 constexpr int kMaxDim = 1 << 20;
 
-const float* TableRow(const FloatTable& table, int id) {
-  TPR_CHECK(id >= 0 && id < table.rows)
-      << "quant table lookup out of range: " << id << " vs " << table.rows;
-  return table.data.data() + static_cast<size_t>(id) * table.cols;
-}
-
 FloatTable CopyTable(const nn::Tensor& t) {
   FloatTable out;
   out.rows = t.rows();
@@ -38,51 +32,16 @@ FloatTable CopyTable(const nn::Tensor& t) {
   return out;
 }
 
-/// Writes the T x input_dim fp32 feature rows for one path into `x` —
-/// the exact assembly of TemporalPathEncoder::EncodeImpl: [rt | lanes |
-/// oneway | signal | from | to | t_vec], with the same temporal vector
-/// on every row. `x` must hold path.size() * model.input_dim floats;
-/// the raw-pointer form lets the batched forward interleave many items
-/// into one time-major buffer.
-void FillFeatureRows(const core::FeatureSpace& features,
-                     const QuantizedModel& model, const graph::Path& path,
-                     int64_t depart_time_s, float* x) {
-  TPR_CHECK(!path.empty());
-  const auto& network = *features.data->network;
-  const int d_road = features.config.road_embedding_dim;
-  const int T = static_cast<int>(path.size());
-  const int dim = model.input_dim;
-
-  const int t_node = features.TemporalNodeFor(depart_time_s);
-  const auto& t_vec = features.temporal_embeddings[t_node];
-  for (int i = 0; i < T; ++i) {
-    const auto& e = network.edge(path[i]);
-    float* row = x + static_cast<size_t>(i) * dim;
-    const float* rt = TableRow(model.road_type_table,
-                               static_cast<int>(e.road_type));
-    const float* lanes = TableRow(model.lanes_table, e.num_lanes - 1);
-    const float* ow = TableRow(model.oneway_table, e.one_way ? 1 : 0);
-    const float* ts = TableRow(model.signal_table, e.has_signal ? 1 : 0);
-    float* p = row;
-    p = std::copy(rt, rt + model.road_type_table.cols, p);
-    p = std::copy(lanes, lanes + model.lanes_table.cols, p);
-    p = std::copy(ow, ow + model.oneway_table.cols, p);
-    p = std::copy(ts, ts + model.signal_table.cols, p);
-    const auto& from_vec = features.road_embeddings[e.from];
-    const auto& to_vec = features.road_embeddings[e.to];
-    p = std::copy(from_vec.begin(), from_vec.begin() + d_road, p);
-    p = std::copy(to_vec.begin(), to_vec.begin() + d_road, p);
-    if (model.use_temporal) p = std::copy(t_vec.begin(), t_vec.end(), p);
-    TPR_CHECK(p == row + dim);
-  }
-}
-
-/// Vector-filling wrapper over FillFeatureRows; reuses `out`'s capacity.
-void BuildFeatureMatrix(const core::FeatureSpace& features,
-                        const QuantizedModel& model, const graph::Path& path,
-                        int64_t depart_time_s, std::vector<float>* out) {
-  out->resize(path.size() * static_cast<size_t>(model.input_dim));
-  FillFeatureRows(features, model, path, depart_time_s, out->data());
+/// The model's categorical tables as the engine's feature-row views.
+core::FeatureTables TablesOf(const QuantizedModel& model) {
+  const auto view = [](const FloatTable& t) {
+    return core::TableView{t.data.data(), t.rows, t.cols};
+  };
+  return core::FeatureTables{view(model.road_type_table),
+                             view(model.lanes_table),
+                             view(model.oneway_table),
+                             view(model.signal_table), model.use_temporal,
+                             model.input_dim};
 }
 
 /// The fp32 weight views of one LSTM layer, in Parameters() order.
@@ -271,8 +230,9 @@ StatusOr<QuantizedModel> QuantizeEncoder(
     const core::PathTimeItem& item = calibration[i];
     TPR_CHECK(item.path != nullptr && !item.path->empty());
     const int T = static_cast<int>(item.path->size());
-    std::vector<float> x;
-    BuildFeatureMatrix(features, model, *item.path, item.depart_time_s, &x);
+    std::vector<float> x(static_cast<size_t>(T) * model.input_dim);
+    core::FillFeatureRows(features, TablesOf(model), *item.path,
+                          item.depart_time_s, x.data(), model.input_dim);
     int in_dim = model.input_dim;
     std::vector<float> next;
     for (int l = 0; l < num_layers; ++l) {
@@ -418,7 +378,10 @@ void RemoveQuantArtifact(const std::string& dir, uint64_t seq) {
 
 QuantizedEncoder::QuantizedEncoder(
     std::shared_ptr<const core::FeatureSpace> features, QuantizedModel model)
-    : features_(std::move(features)), model_(std::move(model)) {
+    : core::LstmWeights(static_cast<int>(model.layers.size()),
+                        model.input_dim, model.d_hidden),
+      features_(std::move(features)),
+      model_(std::move(model)) {
   TPR_CHECK(features_ != nullptr);
   TPR_CHECK(!model_.layers.empty());
   w_ih_wide_.reserve(model_.layers.size());
@@ -432,243 +395,56 @@ QuantizedEncoder::QuantizedEncoder(
   }
 }
 
-std::vector<float> QuantizedEncoder::BuildFeatures(
-    const graph::Path& path, int64_t depart_time_s) const {
-  std::vector<float> x;
-  BuildFeatureMatrix(*features_, model_, path, depart_time_s, &x);
-  return x;
-}
-
 namespace {
 
-/// Per-thread scratch for the quantized forward. EncodeValue sits on the
-/// serving hot path where the recurrent steps are tiny (m=1 GEMMs), so a
-/// dozen per-call heap allocations — several tens of KB each for the
-/// time-batched buffers — are a measurable slice of the latency budget.
-/// Reusing capacity across calls keeps the rung's speedup intact without
-/// touching the math.
-struct EncodeScratch {
-  std::vector<float> x, next, gates, h_prev, c_prev, act, hc;
-  std::vector<int8_t> qx, qh;
-  std::vector<int32_t> acc, acc_h;
-  std::vector<int> active;
-};
-
-EncodeScratch& Scratch() {
-  static thread_local EncodeScratch s;
-  return s;
-}
-
-/// Pools T hidden-state rows into one representation — the tail of both
-/// the single and the batched forward, so their outputs agree bitwise.
-std::vector<float> AggregateRows(core::Aggregation agg, const float* x, int T,
-                                 int h) {
-  std::vector<float> out(h, 0.0f);
-  switch (agg) {
-    case core::Aggregation::kMean:
-      for (int t = 0; t < T; ++t) {
-        const float* row = x + static_cast<size_t>(t) * h;
-        for (int j = 0; j < h; ++j) out[j] += row[j];
-      }
-      for (int j = 0; j < h; ++j) out[j] /= static_cast<float>(T);
-      break;
-    case core::Aggregation::kMax:
-      std::copy(x, x + h, out.begin());
-      for (int t = 1; t < T; ++t) {
-        const float* row = x + static_cast<size_t>(t) * h;
-        for (int j = 0; j < h; ++j) out[j] = std::max(out[j], row[j]);
-      }
-      break;
-    case core::Aggregation::kLast:
-      std::copy(x + static_cast<size_t>(T - 1) * h,
-                x + static_cast<size_t>(T) * h, out.begin());
-      break;
+/// One int8 gate GEMM over m rows: quantize x, exact int8 GEMM against
+/// the pre-widened panel (bit-identical to GemmInt8), then the
+/// per-channel dequant — fused with `bias` into y, or (bias null)
+/// accumulated onto y. Buffers are per thread and only grow.
+void Int8GateGemm(const float* x, int m, float x_scale,
+                  const QuantizedTensor& w, const std::vector<int16_t>& wide,
+                  const float* bias, float* y) {
+  static thread_local std::vector<int8_t> q;
+  static thread_local std::vector<int32_t> acc;
+  const size_t k = static_cast<size_t>(w.cols), n = static_cast<size_t>(w.rows);
+  if (q.size() < m * k) q.resize(m * k);
+  if (acc.size() < m * n) acc.resize(m * n);
+  kern::QuantizeRow(x, 1.0f / x_scale, q.data(), static_cast<int>(m * k));
+  kern::GemmInt8Wide(q.data(), wide.data(), acc.data(), m, w.cols, w.rows);
+  if (bias != nullptr) {
+    kern::DequantBias(acc.data(), x_scale, w.scales.data(), bias, y, m, w.rows);
+  } else {
+    kern::DequantAcc(acc.data(), x_scale, w.scales.data(), y, m, w.rows);
   }
-  return out;
 }
 
 }  // namespace
 
+void QuantizedEncoder::InputGates(int layer, const float* x, int rows,
+                                  float* gates) const {
+  const QuantizedLstmLayer& q = model_.layers[layer];
+  Int8GateGemm(x, rows, q.in_scale, q.w_ih, w_ih_wide_[layer], q.bias.data(),
+               gates);
+}
+
+void QuantizedEncoder::RecurrentGates(int layer, const float* h, int m,
+                                      float* gates) const {
+  const QuantizedLstmLayer& q = model_.layers[layer];
+  Int8GateGemm(h, m, q.hidden_scale, q.w_hh, w_hh_wide_[layer], nullptr,
+               gates);
+}
+
 std::vector<float> QuantizedEncoder::EncodeValue(const graph::Path& path,
                                                  int64_t depart_time_s) const {
-  const int T = static_cast<int>(path.size());
-  const int h = model_.d_hidden;
-  const int n4 = 4 * h;
-  EncodeScratch& s = Scratch();
-  std::vector<float>& x = s.x;
-  BuildFeatureMatrix(*features_, model_, path, depart_time_s, &x);
-  int in_dim = model_.input_dim;
-
-  std::vector<int8_t>& qx = s.qx;
-  std::vector<int8_t>& qh = s.qh;
-  qh.resize(h);
-  std::vector<int32_t>& acc = s.acc;
-  std::vector<int32_t>& acc_h = s.acc_h;
-  acc.resize(static_cast<size_t>(T) * n4);
-  acc_h.resize(n4);
-  std::vector<float>& gates = s.gates;
-  gates.resize(static_cast<size_t>(T) * n4);
-  std::vector<float>& h_prev = s.h_prev;
-  std::vector<float>& c_prev = s.c_prev;
-  std::vector<float>& act = s.act;
-  std::vector<float>& hc = s.hc;
-  h_prev.resize(h);
-  c_prev.resize(h);
-  act.resize(5 * h);
-  hc.resize(2 * h);
-  std::vector<float>& next = s.next;
-  next.resize(static_cast<size_t>(T) * h);
-
-  for (size_t li = 0; li < model_.layers.size(); ++li) {
-    const QuantizedLstmLayer& layer = model_.layers[li];
-    // All T input-side gate GEMMs in one int8 call — the batched-over-
-    // time shape is what buys the >=2x speedup over the stepwise fp32
-    // path. Both GEMMs run against the pre-widened weight panels;
-    // GemmInt8Wide is bit-identical to GemmInt8.
-    qx.resize(x.size());
-    kern::QuantizeRow(x.data(), 1.0f / layer.in_scale, qx.data(),
-                      static_cast<int>(x.size()));
-    kern::GemmInt8Wide(qx.data(), w_ih_wide_[li].data(), acc.data(), T,
-                       in_dim, n4);
-    kern::DequantBias(acc.data(), layer.in_scale, layer.w_ih.scales.data(),
-                      layer.bias.data(), gates.data(), T, n4);
-
-    std::fill(h_prev.begin(), h_prev.end(), 0.0f);
-    std::fill(c_prev.begin(), c_prev.end(), 0.0f);
-    for (int t = 0; t < T; ++t) {
-      float* g = gates.data() + static_cast<size_t>(t) * n4;
-      kern::QuantizeRow(h_prev.data(), 1.0f / layer.hidden_scale, qh.data(),
-                        h);
-      kern::GemmInt8Wide(qh.data(), w_hh_wide_[li].data(), acc_h.data(), 1, h,
-                         n4);
-      kern::DequantAcc(acc_h.data(), layer.hidden_scale,
-                       layer.w_hh.scales.data(), g, 1, n4);
-      kern::LstmCellRow(g, c_prev.data(), act.data(), hc.data(), h);
-      std::copy(hc.begin(), hc.begin() + h, h_prev.begin());
-      std::copy(hc.begin() + h, hc.end(), c_prev.begin());
-      std::copy(h_prev.begin(), h_prev.end(),
-                next.begin() + static_cast<size_t>(t) * h);
-    }
-    x.assign(next.begin(), next.begin() + static_cast<size_t>(T) * h);
-    in_dim = h;
-  }
-
-  return AggregateRows(static_cast<core::Aggregation>(model_.aggregation),
-                       x.data(), T, h);
+  return EncodeValueBatch({core::PathTimeItem{&path, depart_time_s}}).front();
 }
 
 std::vector<std::vector<float>> QuantizedEncoder::EncodeValueBatch(
     const std::vector<core::PathTimeItem>& items) const {
-  // Truly batched forward: all items' timesteps share one input-side
-  // GEMM, and the recurrent steps run in lockstep across items so every
-  // per-step GEMM is m = (items still active) instead of m = 1 — the
-  // shape that keeps the int8 kernels compute-bound under serving
-  // traffic. Every per-row operation (quantize, exact GEMM row, dequant,
-  // cell) is identical to the single-item path, so a batch row is
-  // bitwise the single EncodeValue of that item and group-level serving
-  // decisions never change an embedding.
-  const int n_items = static_cast<int>(items.size());
-  std::vector<std::vector<float>> out(n_items);
-  if (n_items == 0) return out;
-  if (n_items == 1) {
-    TPR_CHECK(items[0].path != nullptr);
-    out[0] = EncodeValue(*items[0].path, items[0].depart_time_s);
-    return out;
-  }
-  const int h = model_.d_hidden;
-  const int n4 = 4 * h;
-
-  // Item i owns rows [off[i], off[i] + T[i]) of every time-major buffer.
-  std::vector<int> T(n_items), off(n_items);
-  int total = 0, t_max = 0;
-  for (int i = 0; i < n_items; ++i) {
-    TPR_CHECK(items[i].path != nullptr && !items[i].path->empty());
-    T[i] = static_cast<int>(items[i].path->size());
-    off[i] = total;
-    total += T[i];
-    if (T[i] > t_max) t_max = T[i];
-  }
-
-  EncodeScratch& s = Scratch();
-  int in_dim = model_.input_dim;
-  std::vector<float>& x = s.x;
-  x.resize(static_cast<size_t>(total) * in_dim);
-  for (int i = 0; i < n_items; ++i) {
-    FillFeatureRows(*features_, model_, *items[i].path, items[i].depart_time_s,
-                    x.data() + static_cast<size_t>(off[i]) * in_dim);
-  }
-
-  std::vector<int8_t>& qx = s.qx;
-  std::vector<int32_t>& acc = s.acc;
-  std::vector<float>& gates = s.gates;
-  std::vector<float>& next = s.next;
-  std::vector<float>& h_prev = s.h_prev;
-  std::vector<float>& c_prev = s.c_prev;
-  std::vector<float>& act = s.act;
-  std::vector<float>& hc = s.hc;
-  std::vector<int8_t>& qh = s.qh;
-  std::vector<int32_t>& acc_h = s.acc_h;
-  // active[r] maps row r of a step GEMM back to its item slot; items
-  // whose paths have ended simply drop out of the packed activation.
-  std::vector<int>& active = s.active;
-  h_prev.resize(static_cast<size_t>(n_items) * h);
-  c_prev.resize(static_cast<size_t>(n_items) * h);
-  qh.resize(static_cast<size_t>(n_items) * h);
-  acc_h.resize(static_cast<size_t>(n_items) * n4);
-  act.resize(5 * h);
-  hc.resize(2 * h);
-  active.resize(n_items);
-
-  for (size_t li = 0; li < model_.layers.size(); ++li) {
-    const QuantizedLstmLayer& layer = model_.layers[li];
-    qx.resize(x.size());
-    kern::QuantizeRow(x.data(), 1.0f / layer.in_scale, qx.data(),
-                      static_cast<int>(x.size()));
-    acc.resize(static_cast<size_t>(total) * n4);
-    kern::GemmInt8Wide(qx.data(), w_ih_wide_[li].data(), acc.data(), total,
-                       in_dim, n4);
-    gates.resize(static_cast<size_t>(total) * n4);
-    kern::DequantBias(acc.data(), layer.in_scale, layer.w_ih.scales.data(),
-                      layer.bias.data(), gates.data(), total, n4);
-
-    std::fill(h_prev.begin(), h_prev.end(), 0.0f);
-    std::fill(c_prev.begin(), c_prev.end(), 0.0f);
-    next.resize(static_cast<size_t>(total) * h);
-    for (int t = 0; t < t_max; ++t) {
-      int m = 0;
-      for (int i = 0; i < n_items; ++i) {
-        if (T[i] <= t) continue;
-        kern::QuantizeRow(h_prev.data() + static_cast<size_t>(i) * h,
-                          1.0f / layer.hidden_scale,
-                          qh.data() + static_cast<size_t>(m) * h, h);
-        active[m++] = i;
-      }
-      kern::GemmInt8Wide(qh.data(), w_hh_wide_[li].data(), acc_h.data(), m, h,
-                         n4);
-      for (int r = 0; r < m; ++r) {
-        const int i = active[r];
-        float* g = gates.data() + (static_cast<size_t>(off[i]) + t) * n4;
-        kern::DequantAcc(acc_h.data() + static_cast<size_t>(r) * n4,
-                         layer.hidden_scale, layer.w_hh.scales.data(), g, 1,
-                         n4);
-        float* hp = h_prev.data() + static_cast<size_t>(i) * h;
-        float* cp = c_prev.data() + static_cast<size_t>(i) * h;
-        kern::LstmCellRow(g, cp, act.data(), hc.data(), h);
-        std::copy(hc.begin(), hc.begin() + h, hp);
-        std::copy(hc.begin() + h, hc.end(), cp);
-        std::copy(hp, hp + h,
-                  next.begin() + (static_cast<size_t>(off[i]) + t) * h);
-      }
-    }
-    x.assign(next.begin(), next.begin() + static_cast<size_t>(total) * h);
-    in_dim = h;
-  }
-
-  for (int i = 0; i < n_items; ++i) {
-    out[i] = AggregateRows(static_cast<core::Aggregation>(model_.aggregation),
-                           x.data() + static_cast<size_t>(off[i]) * h, T[i], h);
-  }
-  return out;
+  return *core::EncodeLstmRows(
+      *this, *features_, TablesOf(model_),
+      static_cast<core::Aggregation>(model_.aggregation), items.data(),
+      static_cast<int>(items.size()), /*cancelled=*/nullptr);
 }
 
 bool QuantEnabledFromEnv() {

@@ -3,9 +3,9 @@
 
 // Post-training int8 quantization of the temporal path encoder
 // (tpr::quant). The serving ladder's intermediate rung: ~4x smaller
-// weights and a >=2x faster forward than fp32 EncodeValue, at a probe
-// MAE gated within a configurable delta of the fp32 candidate by
-// tpr::rollout.
+// weights, at a probe MAE gated within a configurable delta of the fp32
+// candidate by tpr::rollout. Its encode speed against the fp32 path is
+// measured, not assumed (DESIGN.md §14).
 //
 // Scheme: per-channel symmetric int8. Every output channel c of a
 // weight matrix gets scale_c = max|w_c| / 127 and stores
@@ -19,11 +19,11 @@
 // forward is a local scalar fp32 reference, never the dispatched
 // kernels).
 //
-// The quantized forward runs gate GEMMs in int8 via kern::GemmInt8Wide
-// (exact integer accumulation over construction-time int16-widened
-// weight panels — scalar and avx2 agree bitwise) with dequant/quantize
-// epilogues that are themselves bitwise kernel-independent, then the
-// dispatched fused LSTM cell. The projection head is dropped entirely:
+// The quantized forward is the fp32 encoder's tape-free engine with its
+// gate GEMMs in int8 via kern::GemmInt8Wide (exact integer accumulation
+// over construction-time int16-widened weight panels — scalar and avx2
+// agree bitwise) and dequant/quantize epilogues that are themselves
+// bitwise kernel-independent, then the dispatched fused LSTM cell. The projection head is dropped entirely:
 // serving consumes the pre-projection TPR, so the quantized artifact
 // never carries it.
 
@@ -151,10 +151,12 @@ void RemoveQuantArtifact(const std::string& dir, uint64_t seq);
 
 /// Int8 inference twin of core::TemporalPathEncoder. EncodeValue returns
 /// the pre-projection TPR exactly like the fp32 EncodeValue does, from
-/// the same FeatureSpace. Deterministic for a fixed TPR_KERNEL;
-/// identical across kernels up to the fused LSTM cell (the GEMMs are
-/// exact, the epilogues scalar).
-class QuantizedEncoder {
+/// the same FeatureSpace, through the same tape-free engine
+/// (core/lstm_engine.h): only the two per-layer gate steps differ
+/// (quantize -> int8 GEMM -> dequant). Deterministic for a fixed
+/// TPR_KERNEL; identical across kernels up to the fused LSTM cell (the
+/// GEMMs are exact, the epilogues scalar).
+class QuantizedEncoder : private core::LstmWeights {
  public:
   QuantizedEncoder(std::shared_ptr<const core::FeatureSpace> features,
                    QuantizedModel model);
@@ -162,13 +164,10 @@ class QuantizedEncoder {
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
-  /// Batched form used by the serve rung's group-level path. All items'
-  /// timesteps share one input-side GEMM and the recurrent steps run in
-  /// lockstep across items (per-step GEMMs are m = active items, not
-  /// m = 1), which is where the rung's encode-rate advantage over the
-  /// fp32 path comes from. Every per-row op matches the single-item
-  /// path exactly, so a batch result row is bitwise equal to the
-  /// corresponding single EncodeValue.
+  /// Batched form used by the serve rung's group-level path: one
+  /// input-side GEMM over all items' timesteps, recurrent steps in
+  /// lockstep over the items still active. A batch result row is bitwise
+  /// equal to the corresponding single EncodeValue.
   std::vector<std::vector<float>> EncodeValueBatch(
       const std::vector<core::PathTimeItem>& items) const;
 
@@ -177,11 +176,10 @@ class QuantizedEncoder {
   const QuantizedModel& model() const { return model_; }
 
  private:
-  /// T x input_dim feature matrix, assembled exactly like the fp32
-  /// encoder's (categorical lookups + node2vec endpoints + temporal
-  /// vector).
-  std::vector<float> BuildFeatures(const graph::Path& path,
-                                   int64_t depart_time_s) const;
+  void InputGates(int layer, const float* x, int rows,
+                  float* gates) const override;
+  void RecurrentGates(int layer, const float* h, int m,
+                      float* gates) const override;
 
   std::shared_ptr<const core::FeatureSpace> features_;
   QuantizedModel model_;

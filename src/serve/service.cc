@@ -181,6 +181,7 @@ std::shared_ptr<InferenceService::GenState> InferenceService::MakeGenState(
     std::shared_ptr<const quant::QuantizedEncoder> quant) const {
   auto gen = std::make_shared<GenState>();
   gen->model = std::move(encoder);
+  gen->packed = gen->model->PackWeights();
   gen->quant = config_.quantized_rung ? std::move(quant) : nullptr;
   gen->generation = generation;
   gen->cache = std::make_unique<EmbeddingLruCache>(config_.cache_capacity);
@@ -820,7 +821,7 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     if (!ready.empty()) {
       // A batch may mix groups pinned to different generations
       // (incumbent + canary — each group is generation-homogeneous by
-      // construction of its hash salt): one padded forward per model.
+      // construction of its hash salt): one forward per model.
       std::vector<std::pair<GenState*, std::vector<size_t>>> parts;
       for (size_t gi : ready) {
         GenState* gen = pending[gi].front()->gen.get();
@@ -834,13 +835,14 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
         }
         if (!found) parts.emplace_back(gen, std::vector<size_t>{gi});
       }
-      const auto encode_span = [&](GenState* gen, const size_t* gis,
-                                   size_t count) {
+      // One forward per generation part. The engine ranks items by
+      // length and drops each from the recurrence once its path ends, so
+      // a long path in a batch of short ones costs only its own rows.
+      for (auto& [gen, gis] : parts) {
         std::vector<core::PathTimeItem> items;
-        items.reserve(count);
+        items.reserve(gis.size());
         bool all_deadlined = true;
-        for (size_t i = 0; i < count; ++i) {
-          const size_t gi = gis[i];
+        for (size_t gi : gis) {
           items.push_back(core::PathTimeItem{&batch.groups[gi].path,
                                              batch.groups[gi].encode_time_s});
           for (Request* r : pending[gi]) all_deadlined &= r->has_deadline;
@@ -849,36 +851,21 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
         // out of time; one expired member must not cancel the others.
         std::function<bool()> cancelled;
         if (all_deadlined) {
-          cancelled = [gis, count, &pending] {
+          cancelled = [&gis = gis, &pending] {
             const auto now = std::chrono::steady_clock::now();
-            for (size_t i = 0; i < count; ++i) {
-              for (Request* r : pending[gis[i]]) {
+            for (size_t gi : gis) {
+              for (Request* r : pending[gi]) {
                 if (now < r->deadline) return false;
               }
             }
             return true;
           };
-        } else {
-          cancelled = [] { return false; };
         }
-        auto encoded =
-            gen->model->EncodeValueBatchCancellable(items, cancelled);
-        if (!encoded.has_value()) {
-          for (size_t i = 0; i < count; ++i) {
-            const size_t gi = gis[i];
-            for (Request* r : pending[gi]) {
-              ServeResult res = DeadlineResult(*r);
-              res.attempts = a + 1;
-              r->promise.set_value(std::move(res));
-            }
-            pending[gi].clear();
-          }
-          return;
-        }
-        for (size_t i = 0; i < count; ++i) {
-          const size_t gi = gis[i];
-          for (Request* r : pending[gi]) {
-            if (past_deadline(*r)) {
+        auto encoded = gen->model->EncodeValueBatchCancellable(
+            items, cancelled, gen->packed.get());
+        for (size_t i = 0; i < gis.size(); ++i) {
+          for (Request* r : pending[gis[i]]) {
+            if (!encoded.has_value() || past_deadline(*r)) {
               ServeResult res = DeadlineResult(*r);
               res.attempts = a + 1;
               r->promise.set_value(std::move(res));
@@ -895,39 +882,7 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
             ObserveRungLatency(Rung::kFull, sw.ElapsedSeconds());
             r->promise.set_value(std::move(res));
           }
-          pending[gi].clear();
-        }
-      };
-      for (auto& part : parts) {
-        std::vector<size_t>& gis = part.second;
-        // Length-sorted sub-batching: a padded forward costs
-        // max_len * count rows, so one long path in a batch of short
-        // ones multiplies the whole batch's work. Sorting by length
-        // (stable — deterministic for a fixed batch) and splitting
-        // greedily whenever padding the next group would push the
-        // padded/true row ratio past 5/4 keeps the waste bounded while
-        // leaving the per-group results bitwise untouched (every batch
-        // row is independent of its neighbours).
-        std::stable_sort(gis.begin(), gis.end(), [&](size_t x, size_t y) {
-          return batch.groups[x].path.size() > batch.groups[y].path.size();
-        });
-        constexpr size_t kMinSubBatch = 8;
-        size_t start = 0;
-        while (start < gis.size()) {
-          const size_t max_len = batch.groups[gis[start]].path.size();
-          size_t true_rows = max_len;
-          size_t end = start + 1;
-          while (end < gis.size()) {
-            const size_t next = batch.groups[gis[end]].path.size();
-            if (end - start >= kMinSubBatch &&
-                4 * max_len * (end - start + 1) > 5 * (true_rows + next)) {
-              break;
-            }
-            true_rows += next;
-            ++end;
-          }
-          encode_span(part.first, gis.data() + start, end - start);
-          start = end;
+          pending[gis[i]].clear();
         }
       }
     }
@@ -1045,7 +1000,8 @@ ServeResult InferenceService::Process(Request& req) {
       const uint64_t attempt_key = MixSeed(q.id, static_cast<uint64_t>(a));
       if (!fault::ShouldFail(fault::kEncoderForward, attempt_key)) {
         auto embedding =
-            model.EncodeValueCancellable(q.path, q.depart_time_s, cancelled);
+            model.EncodeValueCancellable(q.path, q.depart_time_s, cancelled,
+                                         req.gen->packed.get());
         if (!embedding.has_value()) return deadline_result();
         if (!req.breaker_predicted) {
           BreakerRecord(*req.gen, true, req.breaker_probe);
@@ -1158,7 +1114,8 @@ ServeResult InferenceService::DegradedLadder(Request& req, ServeResult result,
   if (!fault::ShouldFail(fault::kEncoderForward, cache_fault_key)) {
     const int64_t bucket_time = bucket * config_.time_bucket_s;
     auto embedding =
-        model.EncodeValueCancellable(q.path, bucket_time, cancelled);
+        model.EncodeValueCancellable(q.path, bucket_time, cancelled,
+                                     req.gen->packed.get());
     if (!embedding.has_value()) return deadline_result();
     cache.Put(key, *embedding);
     result.status = Status::OK();

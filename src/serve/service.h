@@ -352,6 +352,8 @@ class InferenceService {
     /// was published without one (gate failure, TPR_QUANT off, no
     /// artifact on disk).
     std::shared_ptr<const quant::QuantizedEncoder> quant;
+    /// The model's PackWeights() snapshot; null for transformer models.
+    std::shared_ptr<const core::LstmWeights> packed;
     uint64_t generation = 0;
     std::unique_ptr<EmbeddingLruCache> cache;
     Breaker breaker;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -207,15 +208,38 @@ TEST(BatchFormerTest, FromEnvReadsOverridesAndIgnoresGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Padded-batch forwards: valid rows bitwise equal to single forwards
-// under the scalar kernel (the contract of padded_batch.h).
+// Padded-batch transformer forward: valid rows bitwise equal to single
+// forwards under the scalar kernel (the contract of padded_batch.h). The
+// LSTM's batched forward is the tape-free engine (engine_test).
 // ---------------------------------------------------------------------------
+
+/// Packs single sequences (each rows x dim) into a padded time-major
+/// batch with zero padding rows.
+nn::PaddedBatch PackSequences(const std::vector<nn::Tensor>& sequences) {
+  nn::PaddedBatch out;
+  out.batch = static_cast<int>(sequences.size());
+  for (const nn::Tensor& seq : sequences) {
+    out.lengths.push_back(seq.rows());
+    out.max_len = std::max(out.max_len, seq.rows());
+  }
+  const int dim = sequences[0].cols();
+  nn::Tensor data(out.rows(), dim);
+  for (int b = 0; b < out.batch; ++b) {
+    for (int t = 0; t < out.lengths[b]; ++t) {
+      std::copy(sequences[b].data() + static_cast<size_t>(t) * dim,
+                sequences[b].data() + static_cast<size_t>(t + 1) * dim,
+                data.data() + static_cast<size_t>(out.row(t, b)) * dim);
+    }
+  }
+  out.data = nn::Var::Leaf(std::move(data));
+  return out;
+}
 
 template <typename Module>
 void ExpectBatchRowsMatchSingle(const Module& module,
                                 const std::vector<nn::Tensor>& seqs) {
   nn::NoGradGuard guard;
-  const nn::PaddedBatch in = nn::PackSequences(seqs);
+  const nn::PaddedBatch in = PackSequences(seqs);
   const nn::PaddedBatch out = module.ForwardBatch(in);
   ASSERT_EQ(out.batch, in.batch);
   ASSERT_EQ(out.max_len, in.max_len);
@@ -231,24 +255,6 @@ void ExpectBatchRowsMatchSingle(const Module& module,
       }
     }
   }
-}
-
-TEST(PaddedBatchTest, LstmForwardBatchRowsAreBitwiseEqualToSingle) {
-  ScopedKernel scalar(kern::Kernel::kScalar);
-  Rng rng(11);
-  nn::Lstm lstm(6, 8, /*num_layers=*/2, rng);
-  std::vector<nn::Tensor> seqs;
-  for (int len : {5, 1, 3, 7, 2}) seqs.push_back(RandomTensor(len, 6, rng));
-  ExpectBatchRowsMatchSingle(lstm, seqs);
-}
-
-TEST(PaddedBatchTest, GruForwardBatchRowsAreBitwiseEqualToSingle) {
-  ScopedKernel scalar(kern::Kernel::kScalar);
-  Rng rng(12);
-  nn::GruLayer gru(6, 8, rng);
-  std::vector<nn::Tensor> seqs;
-  for (int len : {4, 1, 6, 2}) seqs.push_back(RandomTensor(len, 6, rng));
-  ExpectBatchRowsMatchSingle(gru, seqs);
 }
 
 TEST(PaddedBatchTest, TransformerForwardBatchRowsAreBitwiseEqualToSingle) {
@@ -286,26 +292,6 @@ TEST(MaskedOpsTest, MaskedAttentionGradcheck) {
             nn::SoftmaxRowsMasked(scores, /*valid=*/4), values, /*valid=*/4));
       },
       {scores, values});
-}
-
-TEST(MaskedOpsTest, LstmForwardBatchGradcheck) {
-  Rng rng(23);
-  nn::LstmLayer lstm(3, 4, rng);
-  nn::PaddedBatch in;
-  in.batch = 3;
-  in.max_len = 4;
-  in.lengths = {4, 2, 3};
-  // Non-zero padding rows on purpose: the masked aggregation must not
-  // read them, so their analytic AND numeric gradients are both zero.
-  in.data = nn::XavierParam(in.rows(), 3, rng);
-  std::vector<nn::Var> params = lstm.Parameters();
-  params.push_back(in.data);
-  testing::ExpectGradientsMatch(
-      [&] {
-        return nn::Sum(
-            nn::SequenceMeanBatch(lstm.ForwardBatch(in).data, in.lengths));
-      },
-      params);
 }
 
 // ---------------------------------------------------------------------------

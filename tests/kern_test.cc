@@ -86,6 +86,33 @@ TEST(GemmParityTest, GemmAccAvx2MatchesScalar) {
   }
 }
 
+TEST(GemmParityTest, GemmAccPackedIsBitwiseGemmAccUnderEachKernel) {
+  // A pack moves only where b's panels are read from, so the packed entry
+  // must reproduce GemmAcc bit for bit — full panels, the 8-column and
+  // scalar tails (read from b itself), and every row-tile tail.
+  std::vector<Kernel> kernels{Kernel::kScalar};
+  if (CpuSupportsAvx2()) kernels.push_back(Kernel::kAvx2);
+  for (Kernel k : kernels) {
+    for (const auto& s : kShapes) {
+      const auto a = RandomVec(static_cast<size_t>(s.m) * s.k, 13);
+      const auto b = RandomVec(static_cast<size_t>(s.k) * s.n, 24);
+      std::vector<float> packed(PackedPanelsSize(s.k, s.n));
+      PackPanels(b.data(), s.k, s.n, packed.data());
+      const size_t on = static_cast<size_t>(s.m) * s.n;
+      const auto plain = RunGemm(&GemmAcc, k, a, b, s.m, s.k, s.n, on);
+      ScopedKernel pin(k);
+      std::vector<float> out(on);
+      for (size_t i = 0; i < on; ++i) {
+        out[i] = 0.25f * static_cast<float>(i % 7);
+      }
+      GemmAccPacked(a.data(), b.data(), packed.data(), out.data(), s.m, s.k,
+                    s.n);
+      EXPECT_EQ(out, plain) << KernelName(k) << " m=" << s.m << " k=" << s.k
+                            << " n=" << s.n;
+    }
+  }
+}
+
 TEST(GemmParityTest, GemmTransAAccAvx2MatchesScalar) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
   for (const auto& s : kShapes) {

@@ -161,54 +161,6 @@ class RolloutTest : public ::testing::Test {
 std::shared_ptr<synth::CityDataset>* RolloutTest::data_ = nullptr;
 std::shared_ptr<const FeatureSpace>* RolloutTest::features_ = nullptr;
 
-// Temporary diagnostic: prints the empirical constants the soak pins.
-TEST_F(RolloutTest, DISABLED_Diagnostics) {
-  const core::ProbeSet probe = Probe();
-  auto base = MakeEncoder();
-  auto base_mae = core::ProbeTravelTimeMae(*base, probe);
-  ASSERT_TRUE(base_mae.ok()) << base_mae.status().ToString();
-  std::printf("base mae       = %.6f\n", *base_mae);
-  for (uint64_t seed : {2ull, 4ull, 5ull}) {
-    auto good = MakeEncoder();
-    PerturbParameters(*good, 0.02f, seed);
-    auto mae = core::ProbeTravelTimeMae(*good, probe);
-    ASSERT_TRUE(mae.ok());
-    std::printf("perturbed(%llu) = %.6f (ratio %.4f)\n",
-                static_cast<unsigned long long>(seed), *mae,
-                *mae / *base_mae);
-  }
-  auto bad = MakeEncoder();
-  ZeroParameters(*bad);
-  EXPECT_TRUE(core::AllParametersFinite(*bad));
-  auto bad_mae = core::ProbeTravelTimeMae(*bad, probe);
-  if (bad_mae.ok()) {
-    std::printf("zeroed mae     = %.6f (ratio %.4f)\n", *bad_mae,
-                *bad_mae / *base_mae);
-  } else {
-    std::printf("zeroed mae     = ERROR %s\n",
-                bad_mae.status().ToString().c_str());
-  }
-  // Seed search for the canary-regression site: want gen 4 to fail and
-  // gens 2, 5 to pass.
-  for (uint64_t s = 0; s < 64; ++s) {
-    char spec[64];
-    std::snprintf(spec, sizeof spec, "canary-regression:p=0.5,seed=%llu",
-                  static_cast<unsigned long long>(s));
-    auto plan = fault::FaultPlan::Parse(spec);
-    ASSERT_TRUE(plan.ok());
-    fault::InstallPlan(*std::move(plan));
-    const bool g2 = fault::WouldFail(fault::kCanaryRegression, 2);
-    const bool g4 = fault::WouldFail(fault::kCanaryRegression, 4);
-    const bool g5 = fault::WouldFail(fault::kCanaryRegression, 5);
-    if (!g2 && g4 && !g5) {
-      std::printf("canary-regression seed = %llu\n",
-                  static_cast<unsigned long long>(s));
-      break;
-    }
-  }
-  fault::ClearPlan();
-}
-
 // ---------------------------------------------------------------------------
 // Manifest unit tests.
 // ---------------------------------------------------------------------------
