@@ -126,6 +126,10 @@ Status SupervisedBase::Train() {
       opt.Step();
     }
   }
+  // Free each replica on the worker that built it: its blocks go back to
+  // that worker's arena for the next training run instead of migrating
+  // into this thread's.
+  tp.RunOnAllWorkers([&replicas](int w) { replicas[w] = Replica(); });
   return Status::OK();
 }
 

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "eval/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -78,6 +79,7 @@ StatusOr<TaskScores> EvaluateImpl(const synth::CityDataset& data,
 
   // ---- Travel time estimation (GBR). ----
   {
+    obs::ScopedSpan span("eval.probe.tte");
     std::vector<float> y_train(train_idx.size());
     for (size_t i = 0; i < train_idx.size(); ++i) {
       y_train[i] = static_cast<float>(samples[train_idx[i]].travel_time_s);
@@ -102,6 +104,7 @@ StatusOr<TaskScores> EvaluateImpl(const synth::CityDataset& data,
 
   // ---- Path ranking (GBR on rank scores + grouped tau/rho). ----
   {
+    obs::ScopedSpan span("eval.probe.rank");
     std::vector<float> y_train(train_idx.size());
     for (size_t i = 0; i < train_idx.size(); ++i) {
       y_train[i] = static_cast<float>(samples[train_idx[i]].rank_score);
@@ -128,6 +131,7 @@ StatusOr<TaskScores> EvaluateImpl(const synth::CityDataset& data,
 
   // ---- Path recommendation (GBC). ----
   if (include_recommendation) {
+    obs::ScopedSpan span("eval.probe.rec");
     std::vector<int> y_train(train_idx.size());
     for (size_t i = 0; i < train_idx.size(); ++i) {
       y_train[i] = samples[train_idx[i]].recommended;

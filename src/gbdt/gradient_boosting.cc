@@ -4,6 +4,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace tpr::gbdt {
 namespace {
 
@@ -15,6 +18,12 @@ std::vector<int> SampleRows(int n, double fraction, Rng& rng) {
   const int keep = std::max(1, static_cast<int>(n * fraction));
   all.resize(keep);
   return all;
+}
+
+// Trees fitted across all boosting models (the probe-phase work count).
+void CountTrees(int n) {
+  static obs::Counter& trees = obs::GetCounter("gbdt.trees");
+  trees.Add(static_cast<uint64_t>(n));
 }
 
 float Sigmoid(float x) {
@@ -32,8 +41,10 @@ Status GradientBoostingRegressor::Fit(const Matrix& x,
   if (static_cast<int>(y.size()) != x.rows) {
     return Status::InvalidArgument("target size mismatch");
   }
+  obs::ScopedSpan span("gbdt.fit", "trees", config_.num_trees);
   Rng rng(config_.seed);
   trees_.clear();
+  PresortedMatrix presorted(x);
 
   double sum = 0.0;
   for (float v : y) sum += v;
@@ -46,12 +57,13 @@ Status GradientBoostingRegressor::Fit(const Matrix& x,
     for (size_t i = 0; i < y.size(); ++i) residuals[i] = y[i] - current[i];
     const auto rows = SampleRows(x.rows, config_.subsample, rng);
     RegressionTree tree;
-    tree.Fit(x, residuals, rows, config_.tree, rng);
+    tree.Fit(presorted, residuals, rows, config_.tree, rng);
     for (int i = 0; i < x.rows; ++i) {
       current[i] += config_.learning_rate * tree.Predict(x.row(i));
     }
     trees_.push_back(std::move(tree));
   }
+  CountTrees(config_.num_trees);
   return Status::OK();
 }
 
@@ -78,8 +90,10 @@ Status GradientBoostingClassifier::Fit(const Matrix& x,
   if (static_cast<int>(y.size()) != x.rows) {
     return Status::InvalidArgument("label size mismatch");
   }
+  obs::ScopedSpan span("gbdt.fit", "trees", config_.num_trees);
   Rng rng(config_.seed);
   trees_.clear();
+  PresortedMatrix presorted(x);
 
   double pos = 0.0;
   for (int v : y) pos += v;
@@ -96,12 +110,13 @@ Status GradientBoostingClassifier::Fit(const Matrix& x,
     }
     const auto rows = SampleRows(x.rows, config_.subsample, rng);
     RegressionTree tree;
-    tree.Fit(x, gradients, rows, config_.tree, rng);
+    tree.Fit(presorted, gradients, rows, config_.tree, rng);
     for (int i = 0; i < x.rows; ++i) {
       score[i] += config_.learning_rate * tree.Predict(x.row(i));
     }
     trees_.push_back(std::move(tree));
   }
+  CountTrees(config_.num_trees);
   return Status::OK();
 }
 

@@ -1,5 +1,7 @@
 #include "nn/grad_accumulator.h"
 
+#include <algorithm>
+
 namespace tpr::nn {
 
 GradAccumulator::GradAccumulator(std::vector<Var> master_params)
@@ -7,20 +9,32 @@ GradAccumulator::GradAccumulator(std::vector<Var> master_params)
 
 void GradAccumulator::BeginBatch(int num_shards) {
   TPR_CHECK(num_shards >= 1);
-  shard_grads_.assign(num_shards, {});
+  // New slots are sized here, on the calling thread, so their storage
+  // lives and dies in its arena; workers only copy into them.
+  while (slots_.size() < static_cast<size_t>(num_shards)) {
+    Slot& slot = slots_.emplace_back();
+    for (const Var& p : master_) {
+      slot.grads.emplace_back(p.value().rows(), p.value().cols());
+    }
+    slot.present.assign(master_.size(), 0);
+  }
   filled_.assign(num_shards, 0);
 }
 
 void GradAccumulator::CaptureShard(int shard,
                                    const std::vector<Var>& replica_params) {
-  TPR_CHECK(shard >= 0 && shard < static_cast<int>(shard_grads_.size()));
+  TPR_CHECK(shard >= 0 && shard < static_cast<int>(filled_.size()));
   TPR_CHECK(replica_params.size() == master_.size());
-  auto& slot = shard_grads_[shard];
-  slot.resize(replica_params.size());
+  Slot& slot = slots_[shard];
   for (size_t p = 0; p < replica_params.size(); ++p) {
     internal::VarImpl* impl = replica_params[p].impl();
-    // Moving leaves the replica's grad empty == zeroed for the next use.
-    slot[p] = std::move(impl->grad);
+    slot.present[p] = !impl->grad.empty();
+    if (!slot.present[p]) continue;  // parameter unused by this shard
+    TPR_CHECK(slot.grads[p].SameShape(impl->grad));
+    std::copy(impl->grad.data(), impl->grad.data() + impl->grad.size(),
+              slot.grads[p].data());
+    // Freed here, into this worker's arena; an empty grad reads as
+    // zeroed on the replica's next use.
     impl->grad = Tensor();
   }
   filled_[shard] = 1;
@@ -33,12 +47,12 @@ int GradAccumulator::captured() const {
 }
 
 void GradAccumulator::Reduce(float scale) {
-  for (size_t s = 0; s < shard_grads_.size(); ++s) {
+  for (size_t s = 0; s < filled_.size(); ++s) {
     if (!filled_[s]) continue;
-    const auto& slot = shard_grads_[s];
+    const Slot& slot = slots_[s];
     for (size_t p = 0; p < master_.size(); ++p) {
-      const Tensor& g = slot[p];
-      if (g.empty()) continue;  // parameter unused by this shard's graph
+      if (!slot.present[p]) continue;
+      const Tensor& g = slot.grads[p];
       internal::VarImpl* impl = master_[p].impl();
       impl->EnsureGrad();
       TPR_CHECK(impl->grad.SameShape(g));

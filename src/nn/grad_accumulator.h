@@ -17,19 +17,28 @@ namespace tpr::nn {
 /// parameters' gradients in increasing shard order, so the reduced
 /// gradient is bitwise identical no matter how many threads ran the
 /// shards — including a single thread.
+///
+/// Slot storage is allocated by BeginBatch on the calling thread and kept
+/// across batches: a capture copies the replica's gradient into its slot
+/// and frees the replica's tensor on the capturing worker. No gradient
+/// block therefore migrates between thread arenas, and warm batches
+/// allocate nothing.
 class GradAccumulator {
  public:
   explicit GradAccumulator(std::vector<Var> master_params);
 
   const std::vector<Var>& params() const { return master_; }
 
-  /// Prepares `num_shards` empty gradient slots for the next reduction.
+  /// Marks `num_shards` gradient slots empty for the next reduction,
+  /// allocating any slot not used before. Call on the thread that owns
+  /// the accumulator.
   void BeginBatch(int num_shards);
 
-  /// Moves the gradients accumulated on `replica_params` (same layout as
-  /// the master list) into slot `shard`, leaving the replica's gradients
-  /// cleared for its next shard. Safe to call concurrently for distinct
-  /// shard indices.
+  /// Copies the gradients accumulated on `replica_params` (same layout as
+  /// the master list) into slot `shard` and clears the replica's
+  /// gradients for its next shard. A parameter the shard's graph did not
+  /// reach (empty gradient) is recorded as absent. Safe to call
+  /// concurrently for distinct shard indices.
   void CaptureShard(int shard, const std::vector<Var>& replica_params);
 
   /// Number of slots filled since BeginBatch. Call only after all
@@ -42,9 +51,14 @@ class GradAccumulator {
   void Reduce(float scale);
 
  private:
+  struct Slot {
+    std::vector<Tensor> grads;   // per parameter, master shape
+    std::vector<char> present;   // per parameter: captured this batch
+  };
+
   std::vector<Var> master_;
-  std::vector<std::vector<Tensor>> shard_grads_;
-  std::vector<char> filled_;
+  std::vector<Slot> slots_;  // grows to the largest shard count seen
+  std::vector<char> filled_;  // per shard of the current batch
 };
 
 /// Copies parameter values between two same-layout parameter lists (used

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/wsc_trainer.h"
+#include "kern/arena.h"
 #include "nn/autograd.h"
 #include "nn/grad_accumulator.h"
 #include "synth/presets.h"
@@ -168,6 +169,26 @@ TEST(GradAccumulatorTest, ReduceSumsShardsInOrder) {
   EXPECT_FLOAT_EQ(master.grad().at(0, 1), 2.0f);
 }
 
+TEST(GradAccumulatorTest, SlotKeepsStorageAndAbsentParamsStayAbsent) {
+  auto used = nn::Var::Leaf(nn::Tensor::RowVector({1.0f, 2.0f}), true);
+  auto unused = nn::Var::Leaf(nn::Tensor::RowVector({5.0f}), true);
+  nn::GradAccumulator acc({used, unused});
+  auto replica_used = nn::Var::Leaf(nn::Tensor::RowVector({1.0f, 2.0f}), true);
+  auto replica_unused = nn::Var::Leaf(nn::Tensor::RowVector({5.0f}), true);
+  for (int batch = 0; batch < 3; ++batch) {
+    acc.BeginBatch(1);
+    nn::Sum(nn::Scale(replica_used, 2.0f)).Backward();
+    acc.CaptureShard(0, {replica_used, replica_unused});
+    EXPECT_TRUE(replica_used.grad().empty());
+    used.ZeroGrad();
+    unused.ZeroGrad();
+    acc.Reduce(1.0f);
+    EXPECT_FLOAT_EQ(used.grad().at(0, 0), 2.0f);
+    // The parameter no shard reached gets no gradient, in every batch.
+    EXPECT_TRUE(unused.grad().empty());
+  }
+}
+
 TEST(GradAccumulatorTest, CopyParamValuesSyncsReplicas) {
   auto master = nn::Var::Leaf(nn::Tensor::RowVector({3.0f, -1.0f}), true);
   std::vector<nn::Var> replica = {
@@ -241,6 +262,35 @@ TEST_F(ParDeterminismTest, TrainEpochIsBitwiseIdenticalAcrossThreadCounts) {
   for (size_t i = 0; i < params1.size(); ++i) {
     ASSERT_EQ(params1[i], params4[i]) << "parameter element " << i;
   }
+}
+
+// Gradient slots keep their storage and replica gradients are freed on
+// the worker that produced them, so no block migrates into the caller's
+// arena. The caller's cached bytes beyond the bytes it fetched itself
+// measure that inflow; it must stay flat over warm 4-thread steps (the
+// cache may still grow to a new high-water mark of the caller's own
+// shards, which its own fetches pay for).
+TEST_F(ParDeterminismTest, WarmStepsDoNotGrowCallerArenaCache) {
+  std::vector<int> idx(24);
+  std::iota(idx.begin(), idx.end(), 0);
+  auto inflow = [] {
+    const kern::ArenaStats st = kern::ThreadArenaStats();
+    return static_cast<int64_t>(st.cached_bytes) -
+           static_cast<int64_t>(st.alloc_bytes);
+  };
+  SetDefaultThreads(4);
+  {
+    core::WscModel model(*features_, TinyWsc());
+    // Warm-up: replicas built, slots sized, free-lists populated.
+    ASSERT_TRUE(model.TrainEpoch(idx).ok());
+    ASSERT_TRUE(model.TrainEpoch(idx).ok());
+    const int64_t warm = inflow();
+    for (int epoch = 0; epoch < 8; ++epoch) {  // 4 steps per epoch
+      ASSERT_TRUE(model.TrainEpoch(idx).ok());
+      EXPECT_LE(inflow(), warm) << "epoch " << epoch;
+    }
+  }
+  SetDefaultThreads(ConfiguredThreads());
 }
 
 }  // namespace
