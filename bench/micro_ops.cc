@@ -368,7 +368,7 @@ BENCHMARK(BM_GbdtFit);
 // Gated kernel-rate phase. Google-benchmark rows above are for humans;
 // this self-timed section writes the one machine-gated record: the
 // int8-vs-fp32 GEMM rate ratio at the quantized rung's hot shape, under
-// the production-dispatched kernel. `bench_gate.py throughput` floors it
+// the production-dispatched kernel. `bench_gate.py floors` floors it
 // from run_benches.sh --smoke (the quantized rung's >=2x kernel-level
 // speedup claim; see DESIGN.md section 14 for why the gate lives at the
 // kernel level and the end-to-end encode ratio is gated lower).

@@ -18,15 +18,18 @@ Subcommands:
       the baseline but missing from the merged record is also a
       failure: losing coverage silently would defeat the gate.
 
-  throughput <merged.json> --bench <name> --gate METRIC:MIN[:DEGRADED] ...
+  floors <merged.json> <baseline.json>
       Floor-gates higher-is-better ratio metrics (batched-serving
-      speedup, p99 gain) from one record of the merged smoke document.
-      These metrics are deliberately NOT in bench_baseline.json — the
-      check subcommand is lower-is-better-only. Each --gate names a
-      metric and its required floor, with an optional degraded floor
-      used when the runner has fewer cores than --threads (a saturated
-      single pipeline and a batched pipeline then contend for the same
-      core, compressing the measurable gap).
+      speedup, int8 encode ratios, drift recovery, fleet scaling): every
+      floor declared in the baseline's "floors" list, the one source of
+      truth for these gates. They are deliberately NOT among the
+      baseline records — the check subcommand is lower-is-better-only.
+      Each entry names bench, metric, floor, degraded_floor, threads and
+      requires_avx2. The degraded floor applies when the runner has
+      fewer cores than `threads` (a saturated unbatched service and a
+      batched one then contend for the same core, compressing the
+      measurable gap); a requires_avx2 floor is skipped, not failed, on
+      a host without AVX2.
 
   speedup <timing.json> [--min-speedup 1.3]
       Gates the BENCH_parallel_training.json record written by
@@ -136,50 +139,34 @@ def cmd_check(args):
     return 0
 
 
-def parse_gate(spec):
-    """METRIC:MIN[:DEGRADED] -> (metric, min_floor, degraded_floor)."""
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise argparse.ArgumentTypeError(
-            f"bad --gate {spec!r}: expected METRIC:MIN[:DEGRADED]")
-    try:
-        floor = float(parts[1])
-        degraded = float(parts[2]) if len(parts) == 3 else floor
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad --gate {spec!r}: {e}")
-    return parts[0], floor, degraded
-
-
-def cmd_throughput(args):
-    current = load_records(args.merged)
-    rec = current.get(args.bench)
+def floor_failures(current, bench, threads, gates):
+    """Prints one bench's floor table; returns its failure messages."""
+    rec = current.get(bench)
     if rec is None:
-        print(f"bench_gate: bench {args.bench!r} missing from {args.merged}",
-              file=sys.stderr)
-        return 1
+        return [f"bench {bench!r} missing from merged results"]
 
     cores = os.cpu_count() or 1
-    degraded_runner = cores < args.threads
+    degraded_runner = cores < threads
     if degraded_runner:
-        mode = (f"{cores} core(s) < {args.threads} workers: degraded floors "
+        mode = (f"{cores} core(s) < {threads} workers: degraded floors "
                 "(pipelines contend for the same cores)")
     else:
-        mode = f"{cores} cores >= {args.threads} workers: full floors"
-    print(f"bench_gate throughput: bench={args.bench} cores={cores} ({mode})")
+        mode = f"{cores} cores >= {threads} workers: full floors"
+    print(f"bench_gate floors: bench={bench} cores={cores} ({mode})")
 
     failures = []
-    for metric, floor, degraded in args.gate:
+    for metric, floor, degraded in gates:
         required = degraded if degraded_runner else floor
         raw = rec.get("metrics", {}).get(metric)
         if raw is None:
-            failures.append(f"{metric}: missing from {args.bench} record")
+            failures.append(f"{metric}: missing from {bench} record")
             print(f"  {metric:<32} MISSING (floor {required:.2f})")
             continue
         try:
             value = float(raw)
         except (TypeError, ValueError):
             failures.append(f"{metric}: non-numeric value {raw!r} in "
-                            f"{args.bench} record")
+                            f"{bench} record")
             print(f"  {metric:<32} NON-NUMERIC (floor {required:.2f})")
             continue
         ok = value >= required
@@ -189,13 +176,74 @@ def cmd_throughput(args):
             failures.append(
                 f"{metric}: {value:.3f} below required {required:.2f} ({mode})"
             )
+    return failures
 
+
+FLOOR_KEYS = ("bench", "metric", "floor", "degraded_floor", "threads",
+              "requires_avx2")
+
+
+def load_floors(path):
+    """The baseline's declared floors, validated; ValueError if malformed."""
+    with open(path) as f:
+        doc = json.load(f)
+    floors = []
+    for i, raw in enumerate(doc.get("floors", [])):
+        missing = [k for k in FLOOR_KEYS if k not in raw]
+        if missing:
+            raise ValueError(f"floors[{i}]: missing {', '.join(missing)}")
+        try:
+            floors.append({
+                "bench": str(raw["bench"]),
+                "metric": str(raw["metric"]),
+                "floor": float(raw["floor"]),
+                "degraded_floor": float(raw["degraded_floor"]),
+                "threads": int(raw["threads"]),
+                "requires_avx2": bool(raw["requires_avx2"]),
+            })
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"floors[{i}]: {e}")
+    if not floors:
+        raise ValueError(f"{path} declares no floors")
+    return floors
+
+
+def host_has_avx2():
+    try:
+        with open("/proc/cpuinfo") as f:
+            return any(line.startswith("flags") and " avx2" in line
+                       for line in f)
+    except OSError:
+        return False
+
+
+def cmd_floors(args):
+    try:
+        floors = load_floors(args.baseline)
+    except (OSError, ValueError) as e:
+        print(f"bench_gate: bad floors in {args.baseline}: {e}",
+              file=sys.stderr)
+        return 1
+    current = load_records(args.merged)
+    avx2 = host_has_avx2()
+    groups = {}
+    for fl in floors:
+        if fl["requires_avx2"] and not avx2:
+            print(f"bench_gate floors: no AVX2 on this host; "
+                  f"{fl['bench']}/{fl['metric']} skipped")
+            continue
+        groups.setdefault((fl["bench"], fl["threads"]), []).append(
+            (fl["metric"], fl["floor"], fl["degraded_floor"]))
+    failures = []
+    for (bench, threads), gates in groups.items():
+        failures += floor_failures(current, bench, threads, gates)
     if failures:
         print(f"\nbench_gate: {len(failures)} failure(s):", file=sys.stderr)
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         return 1
-    print(f"\nbench_gate: all {len(args.gate)} throughput floor(s) cleared")
+    cleared = sum(len(g) for g in groups.values())
+    print(f"\nbench_gate: all {cleared} floor(s) cleared")
     return 0
 
 
@@ -258,18 +306,11 @@ def main():
                          help="default relative tolerance (default 0.25)")
     p_check.set_defaults(func=cmd_check)
 
-    p_tput = sub.add_parser(
-        "throughput", help="floor-gate higher-is-better ratio metrics")
-    p_tput.add_argument("merged", help="merged smoke document")
-    p_tput.add_argument("--bench", required=True,
-                        help="record name, e.g. bench_serve_latency")
-    p_tput.add_argument("--gate", action="append", required=True,
-                        type=parse_gate, metavar="METRIC:MIN[:DEGRADED]",
-                        help="metric floor; repeatable. DEGRADED applies "
-                             "when the runner has fewer cores than --threads")
-    p_tput.add_argument("--threads", type=int, default=4,
-                        help="worker threads the bench saturates (default 4)")
-    p_tput.set_defaults(func=cmd_throughput)
+    p_floors = sub.add_parser(
+        "floors", help="apply the floors declared in the baseline")
+    p_floors.add_argument("merged", help="merged smoke document")
+    p_floors.add_argument("baseline", help="bench_baseline.json")
+    p_floors.set_defaults(func=cmd_floors)
 
     p_speedup = sub.add_parser(
         "speedup", help="gate the parallel-training timing record")

@@ -38,69 +38,95 @@ def captured():
         yield out, err
 
 
-class ThroughputGateTest(unittest.TestCase):
+class FloorsGateTest(unittest.TestCase):
+    FLOOR = {"bench": "bench_serve_latency", "metric": "speedup",
+             "floor": 2.0, "degraded_floor": 1.0, "threads": 1,
+             "requires_avx2": False}
+
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
         self.addCleanup(self.tmp.cleanup)
         self.merged = os.path.join(self.tmp.name, "merged.json")
+        self.baseline = os.path.join(self.tmp.name, "baseline.json")
 
-    def run_gate(self, metrics, gates, threads=1, bench="bench_serve_latency"):
-        write_json(self.merged, merged_doc(metrics))
-        args = argparse.Namespace(
-            merged=self.merged, bench=bench, threads=threads,
-            gate=[bench_gate.parse_gate(g) for g in gates])
-        with captured() as (out, err):
-            rc = bench_gate.cmd_throughput(args)
+    def run_floors(self, metrics, floors=None, avx2=True,
+                   bench="bench_serve_latency"):
+        write_json(self.merged, merged_doc(metrics, bench=bench))
+        write_json(self.baseline,
+                   {"floors": floors or [self.FLOOR], "records": []})
+        args = argparse.Namespace(merged=self.merged, baseline=self.baseline)
+        with unittest.mock.patch.object(bench_gate, "host_has_avx2",
+                                        return_value=avx2):
+            with captured() as (out, err):
+                rc = bench_gate.cmd_floors(args)
         return rc, out.getvalue(), err.getvalue()
 
+    def test_parses_the_checked_in_floors(self):
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "bench_baseline.json")
+        floors = bench_gate.load_floors(path)
+        by_metric = {f["metric"]: f for f in floors}
+        self.assertEqual(len(floors), 7)
+        fleet = by_metric["fleet.scaling_ratio"]
+        self.assertEqual((fleet["floor"], fleet["degraded_floor"],
+                          fleet["threads"]), (2.4, 0.5, 4))
+        self.assertTrue(by_metric["kern.int8_vs_fp32_gemm_rate"]
+                        ["requires_avx2"])
+
+    def test_malformed_floors_are_rejected(self):
+        bad = dict(self.FLOOR)
+        del bad["degraded_floor"]
+        rc, _, err = self.run_floors({"speedup": 3.0}, [bad])
+        self.assertEqual(rc, 1)
+        self.assertIn("missing degraded_floor", err)
+        rc, _, err = self.run_floors({"speedup": 3.0},
+                                     [dict(self.FLOOR, floor="x")])
+        self.assertEqual(rc, 1)
+        self.assertIn("bad floors", err)
+
     def test_clears_floor(self):
-        rc, _, _ = self.run_gate({"speedup": 3.0}, ["speedup:2.0"])
+        rc, _, _ = self.run_floors({"speedup": 3.0})
         self.assertEqual(rc, 0)
 
     def test_below_floor_fails(self):
-        rc, _, err = self.run_gate({"speedup": 1.5}, ["speedup:2.0"])
+        rc, _, err = self.run_floors({"speedup": 1.5})
         self.assertEqual(rc, 1)
-        self.assertIn("below required", err)
+        self.assertIn("below required 2.00", err)
 
     def test_missing_metric_fails_not_passes(self):
-        rc, out, err = self.run_gate({"other": 9.0}, ["speedup:2.0"])
+        rc, out, err = self.run_floors({"other": 9.0})
         self.assertEqual(rc, 1)
         self.assertIn("missing from bench_serve_latency record", err)
         self.assertIn("MISSING", out)
 
     def test_missing_bench_record_fails(self):
-        write_json(self.merged, merged_doc({"speedup": 3.0}, bench="other"))
-        args = argparse.Namespace(
-            merged=self.merged, bench="bench_serve_latency", threads=1,
-            gate=[bench_gate.parse_gate("speedup:2.0")])
-        with captured() as (_, err):
-            rc = bench_gate.cmd_throughput(args)
+        rc, _, err = self.run_floors({"speedup": 3.0}, bench="other")
         self.assertEqual(rc, 1)
-        self.assertIn("missing from", err.getvalue())
+        self.assertIn("missing from", err)
 
     def test_non_numeric_metric_fails_without_traceback(self):
-        rc, _, err = self.run_gate({"speedup": "fast"}, ["speedup:2.0"])
+        rc, _, err = self.run_floors({"speedup": "fast"})
         self.assertEqual(rc, 1)
         self.assertIn("non-numeric", err)
 
     def test_degraded_floor_applies_when_runner_has_fewer_cores(self):
+        floor = dict(self.FLOOR, threads=4)
         with unittest.mock.patch.object(bench_gate.os, "cpu_count",
                                         return_value=1):
-            rc, _, _ = self.run_gate({"speedup": 1.2}, ["speedup:2.0:1.0"],
-                                     threads=4)
+            rc, _, _ = self.run_floors({"speedup": 1.2}, [floor])
         self.assertEqual(rc, 0)
         with unittest.mock.patch.object(bench_gate.os, "cpu_count",
                                         return_value=8):
-            rc, _, _ = self.run_gate({"speedup": 1.2}, ["speedup:2.0:1.0"],
-                                     threads=4)
+            rc, _, _ = self.run_floors({"speedup": 1.2}, [floor])
         self.assertEqual(rc, 1)
 
-    def test_parse_gate_rejects_malformed_specs(self):
-        for bad in ("speedup", "speedup:", "speedup:x", "a:1:2:3"):
-            with self.assertRaises(argparse.ArgumentTypeError):
-                bench_gate.parse_gate(bad)
-        self.assertEqual(bench_gate.parse_gate("m:2.0"), ("m", 2.0, 2.0))
-        self.assertEqual(bench_gate.parse_gate("m:2.0:1.5"), ("m", 2.0, 1.5))
+    def test_avx2_floor_skipped_without_avx2(self):
+        floor = dict(self.FLOOR, requires_avx2=True)
+        rc, out, _ = self.run_floors({"speedup": 1.5}, [floor], avx2=False)
+        self.assertEqual(rc, 0)
+        self.assertIn("no AVX2", out)
+        rc, _, _ = self.run_floors({"speedup": 1.5}, [floor], avx2=True)
+        self.assertEqual(rc, 1)
 
 
 class CheckGateTest(unittest.TestCase):

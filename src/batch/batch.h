@@ -27,11 +27,12 @@
 // With coalescing off, every request is its own group keyed by ticket
 // and encodes at its exact departure time.
 //
-// The group key hash also keys the serve layer's batched fault verdicts
-// ("batch-flush", grouped "encoder-forward" retries), which is what
-// keeps per-request outcomes independent of batch composition: the
-// verdict for a group is the same whether its batch flushed by size, by
-// age, or by idle drain.
+// The serve layer keys its group-level fault verdicts ("batch-flush",
+// grouped "encoder-forward" retries, "quant-encode") by a coalesced
+// group's GroupHash and by the request id of an uncoalesced one
+// (InferenceService::GroupKey), never by the batch: the verdict for a
+// group is the same whether its batch flushed by size, by age, or by
+// idle drain.
 
 #include <cstdint>
 #include <deque>
@@ -44,7 +45,7 @@ namespace tpr::batch {
 
 struct BatchConfig {
   /// Size flush threshold: maximum distinct groups per batch (also the
-  /// padded GEMM width). Coalesced waiters do not count extra.
+  /// widest encoder forward). Coalesced waiters do not count extra.
   int max_batch = 32;
   /// Age flush threshold in logical ticks. One tick fires per admission,
   /// so this also bounds how many requests an unfilled batch can absorb:
@@ -91,9 +92,8 @@ class BatchFormer {
   explicit BatchFormer(const BatchConfig& config);
 
   /// The group key for (path, encode_time, salt). Pure; `salt` carries
-  /// the caller's extra identity (tpr::serve mixes in the pinned model
-  /// generation so coalesced groups are generation-homogeneous, plus
-  /// the ticket when coalescing is off).
+  /// the caller's extra identity (tpr::serve passes the pinned model
+  /// generation so coalesced groups are generation-homogeneous).
   static uint64_t GroupHash(const graph::Path& path, int64_t encode_time_s,
                             uint64_t salt);
 
@@ -102,8 +102,9 @@ class BatchFormer {
   int64_t EncodeTime(int64_t depart_time_s) const;
 
   /// Adds a request. `salt` must be stable for the request (see
-  /// GroupHash). Returns the flushed batch when this arrival filled it
-  /// to max_batch groups.
+  /// GroupHash); with coalescing off the former mixes in the ticket, so
+  /// every request is its own group. Returns the flushed batch when this
+  /// arrival filled it to max_batch groups.
   std::optional<FormedBatch> Arrive(uint64_t ticket, const graph::Path& path,
                                     int64_t depart_time_s, uint64_t salt);
 

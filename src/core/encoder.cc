@@ -43,19 +43,10 @@ int TemporalPathEncoder::input_dim() const {
 
 EncodedPath TemporalPathEncoder::Encode(const graph::Path& path,
                                         int64_t depart_time_s) const {
-  auto out = EncodeImpl(path, depart_time_s, /*cancelled=*/nullptr);
-  TPR_CHECK(out.has_value());  // never cancelled without a callback
-  return *std::move(out);
-}
-
-std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
-    const graph::Path& path, int64_t depart_time_s,
-    const std::function<bool()>* cancelled) const {
   TPR_CHECK(!path.empty());
   const auto& network = *features_->data->network;
   const int T = static_cast<int>(path.size());
 
-  if (Cancelled(cancelled)) return std::nullopt;
   std::vector<int> rt_ids(T), lane_ids(T), ow_ids(T), ts_ids(T);
   for (int i = 0; i < T; ++i) {
     const auto& e = network.edge(path[i]);
@@ -80,11 +71,9 @@ std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
        oneway_emb_->Forward(ow_ids), signal_emb_->Forward(ts_ids),
        nn::SliceCols(nn::Var::Leaf(std::move(rows)), d_cat, dim - d_cat)});
 
-  if (Cancelled(cancelled)) return std::nullopt;
   EncodedPath out;
   out.edge_reps = lstm_ != nullptr ? lstm_->Forward(x)
                                    : transformer_->Forward(x);  // Eq. 7
-  if (Cancelled(cancelled)) return std::nullopt;
   switch (config_.aggregation) {            // Eq. 8 (mean by default)
     case Aggregation::kMean:
       out.tpr = nn::RowMean(out.edge_reps);
@@ -196,22 +185,13 @@ TemporalPathEncoder::EncodeValueBatchCancellable(
 
 std::vector<float> TemporalPathEncoder::EncodeValue(
     const graph::Path& path, int64_t depart_time_s) const {
-  return *EncodeValueCancellable(path, depart_time_s, {});
-}
-
-std::optional<std::vector<float>> TemporalPathEncoder::EncodeValueCancellable(
-    const graph::Path& path, int64_t depart_time_s,
-    const std::function<bool()>& cancelled, const LstmWeights* packed) const {
   if (lstm_ != nullptr) {
     const PathTimeItem item{&path, depart_time_s};
-    auto out = EncodeValues(&item, 1, &cancelled, packed);
-    if (!out.has_value()) return std::nullopt;
-    return std::move(out->front());
+    return std::move(EncodeValues(&item, 1, nullptr, nullptr)->front());
   }
   nn::NoGradGuard no_grad;
-  const auto encoded = EncodeImpl(path, depart_time_s, &cancelled);
-  if (!encoded.has_value()) return std::nullopt;
-  const nn::Tensor& v = encoded->tpr.value();
+  const EncodedPath encoded = Encode(path, depart_time_s);
+  const nn::Tensor& v = encoded.tpr.value();
   return std::vector<float>(v.data(), v.data() + v.size());
 }
 

@@ -87,26 +87,20 @@ class TemporalPathEncoder : public nn::Module {
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
-  /// Like EncodeValue, but polls `cancelled` between pipeline stages
-  /// (feature assembly, each sequence-model layer, aggregation) and
-  /// returns nullopt as soon as it observes true. This is how
-  /// tpr::serve propagates request deadlines into a forward pass that
-  /// is already running: cancellation is cooperative and stage-granular,
-  /// never mid-matmul. `packed` (optional, LSTM only) is this encoder's
-  /// PackWeights() snapshot; it changes speed, never results.
-  std::optional<std::vector<float>> EncodeValueCancellable(
-      const graph::Path& path, int64_t depart_time_s,
-      const std::function<bool()>& cancelled,
-      const LstmWeights* packed = nullptr) const;
-
   /// Batched EncodeValue: one forward, one TPR per item, in order, each
   /// bitwise the single EncodeValue (LSTM: under either kernel;
   /// transformer: under the scalar kernel, see nn/padded_batch.h).
   std::vector<std::vector<float>> EncodeValueBatch(
       const std::vector<PathTimeItem>& items) const;
 
-  /// Cancellable batched variant; `cancelled` (may be empty) and
-  /// `packed` behave as in EncodeValueCancellable.
+  /// Like EncodeValueBatch, but polls `cancelled` (may be empty) between
+  /// pipeline stages (feature assembly, each sequence-model layer,
+  /// aggregation) and returns nullopt as soon as it observes true. This
+  /// is how tpr::serve propagates request deadlines into a forward pass
+  /// that is already running: cancellation is cooperative and
+  /// stage-granular, never mid-matmul. `packed` (optional, LSTM only) is
+  /// this encoder's PackWeights() snapshot; it changes speed, never
+  /// results.
   std::optional<std::vector<std::vector<float>>> EncodeValueBatchCancellable(
       const std::vector<PathTimeItem>& items,
       const std::function<bool()>& cancelled,
@@ -131,13 +125,6 @@ class TemporalPathEncoder : public nn::Module {
   int input_dim() const;
 
  private:
-  /// Shared pipeline behind Encode / EncodeValueCancellable. `cancelled`
-  /// may be null; when non-null it is polled between stages and a true
-  /// observation aborts the pass with nullopt.
-  std::optional<EncodedPath> EncodeImpl(
-      const graph::Path& path, int64_t depart_time_s,
-      const std::function<bool()>* cancelled) const;
-
   /// Shared pipeline behind the EncodeValue* entry points: the engine for
   /// LSTM encoders, the graph for transformers. nullopt on cancellation.
   std::optional<std::vector<std::vector<float>>> EncodeValues(

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -173,9 +174,12 @@ void ThreadPool::RunForChunk(const std::shared_ptr<ForState>& state) {
     state->done += finished;
     if (error &&
         (!state->error || error_index < state->error_index)) {
-      state->error = error;
+      state->error = std::move(error);
       state->error_index = error_index;
     }
+    // A losing error is released here, under the lock: every exception
+    // reference a participant drops is ordered before the caller's read.
+    error = nullptr;
     if (state->done == state->n) state->done_cv.notify_all();
   }
 }
@@ -248,9 +252,15 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     Enqueue([state] { RunForChunk(state); });
   }
   RunForChunk(state);  // the caller works too, as slot 0
-  std::unique_lock<std::mutex> lock(state->m);
-  state->done_cv.wait(lock, [&] { return state->done == state->n; });
-  if (state->error) std::rethrow_exception(state->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->m);
+    state->done_cv.wait(lock, [&] { return state->done == state->n; });
+    // Take the exception out of the shared state, so a helper dropping
+    // the last ForState reference later never frees it under the caller.
+    error = std::move(state->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {

@@ -4,19 +4,20 @@
 // In-process embedding inference service over the trained WSCCL temporal
 // path encoder.
 //
-// Requests enter a bounded queue guarded by admission control (shed or
-// block when full), are processed by dedicated worker threads, and carry
+// Requests pass admission control (shed or block when the bounded
+// waiting set is full), are processed by dedicated worker threads, and carry
 // an optional deadline that is propagated into the encoder forward pass
 // as cooperative cancellation. Transient rung-0 failures are retried
 // with deterministic jittered exponential backoff; sustained failure
 // trips a per-model-generation circuit breaker. Every request that is
 // admitted resolves — in the worst case via the degradation ladder:
 //
-//   rung 0 (kFull)      full temporal encoder at the exact request time
+//   rung 0 (kFull)      full temporal encoder at the group encode time
+//                       (the exact request time unless coalesced)
 //   rung 1 (kQuantized) int8 post-training-quantized twin of the pinned
-//                       generation at the exact request time (per-request
-//                       path) or the group encode time (batched path) —
-//                       keeps the temporal signal at ~4x smaller weights
+//                       generation at the group encode time (the exact
+//                       time for a request that skipped rung 0) — keeps
+//                       the temporal signal at ~4x smaller weights
 //   rung 2 (kCached)    LRU-cached embedding keyed by (path, time bucket),
 //                       computed at the bucket-representative time
 //   rung 3 (kFallback)  node2vec mean-pool over the path's edge endpoint
@@ -26,21 +27,25 @@
 // twin (published by tpr::rollout, or loaded from the quant-<seq>.q8
 // artifact beside the checkpoint) and ServiceConfig::quantized_rung is
 // on (TPR_QUANT=0/off force-disables it). Its fault site is
-// "quant-encode", keyed per request by id and per batch group by the
-// group hash, so outage plans can fail rung 0 (encoder-forward) while
-// the int8 rung keeps answering — and a quant-encode fault degrades a
-// whole batched group at once, like batch-flush does for rung 0.
+// "quant-encode", keyed by the group key, so outage plans can fail rung 0
+// (encoder-forward) while the int8 rung keeps answering — and a
+// quant-encode fault degrades a whole coalesced group at once, like
+// batch-flush does for rung 0.
 // Quantized failures are NEVER breaker signals: the breaker describes
 // the fp32 model's health only.
 //
-// Micro-batching. With ServiceConfig::batch_max > 0 the pipeline runs
-// batched: admissions feed a deterministic tpr::batch::BatchFormer
-// (flush by size or logical-ticks age, duplicate (path, time-bucket,
-// generation) keys coalesced into one encode) and workers run each
-// flushed batch through ONE padded rung-0 forward per model generation.
-// Every request keeps its own deadline, retry accounting, breaker fold,
-// and canary routing; rung-0 fault verdicts are keyed by the batch-group
-// hash so a request's outcome never depends on which batch it rode in.
+// Micro-batching. There is one pipeline: admissions feed a deterministic
+// tpr::batch::BatchFormer (flush by size or logical-ticks age, duplicate
+// (path, time-bucket, generation) keys coalesced into one encode) and
+// workers run each flushed batch through ONE tape-free rung-0 forward per
+// model generation (core/lstm_engine.h; no padding). batch_max = 0 is a
+// former with max_batch 1 and coalescing off: every request is a batch
+// of one. Every request keeps its own deadline, retry accounting, breaker
+// fold, and canary routing. Group-level fault verdicts (encoder-forward
+// attempts, batch-flush, quant-encode) and backoff jitter are keyed by
+// the group key — a coalesced group's hash, or the request id when
+// coalescing is off — so a request's outcome never depends on which
+// batch it rode in, and a batch of one draws the verdicts of its request.
 //
 // Generations. The service holds up to TWO live model generations — the
 // incumbent and an optional canary — each with its own rung-2 cache,
@@ -65,11 +70,12 @@
 // generation, embedding bytes) outcome of every request — and every
 // canary promotion/rollback decision — is identical across runs and
 // worker counts. This falls out of four choices: fault verdicts are
-// keyed by request id (never by wall clock or thread), cache values are
-// pure functions of the cache key (so hit vs recompute is invisible),
-// the circuit breaker folds keyed failure *predictions* in admission
-// order rather than observed completions in race order, and canary
-// routing/resolution are likewise folded at admission. Deadlines are
+// keyed by request id or group key (never by wall clock, thread or
+// batch composition), cache values are pure functions of the cache key
+// (so hit vs recompute is invisible), the circuit breaker folds keyed
+// failure *predictions* in admission order rather than observed
+// completions in race order, and canary routing/resolution are likewise
+// folded at admission. Deadlines are
 // wall-clock dependent and therefore outside the contract.
 
 #include <chrono>
@@ -169,19 +175,17 @@ struct ServiceConfig {
   int canary_permille = 200;
   /// Clean rung-0 canary requests that promote the canary to incumbent.
   int canary_promote_after = 64;
-  /// Micro-batching. >0 switches the pipeline to batched mode: Submit
-  /// feeds a deterministic BatchFormer (tpr::batch) instead of the
-  /// per-request queue, and workers run whole batches through ONE padded
-  /// encoder forward. 0 (default) keeps the legacy per-request pipeline.
-  /// Deadline/retry/breaker/canary semantics are preserved per request
-  /// either way; in batched mode the rung-0 fault verdicts are keyed by
-  /// the request's batch-group hash, so outcomes stay independent of
-  /// batch composition (see tpr::batch).
+  /// Micro-batching: the most distinct groups one encoder forward serves.
+  /// 0 (default) serves every request on its own — a batch of one with
+  /// coalescing off, so batch_ticks and batch_coalesce do not apply.
+  /// Deadline/retry/breaker/canary semantics are per request either way,
+  /// and fault verdicts are keyed by the group key, so outcomes stay
+  /// independent of batch composition (see tpr::batch).
   int batch_max = 0;
   /// Age-flush threshold in logical ticks (one tick per admission).
   int batch_ticks = 128;
   /// Coalesce duplicate (path, time-bucket, generation) requests into one
-  /// encode whose result fans out to all waiters.
+  /// encode whose result fans out to all waiters (batch_max > 0 only).
   bool batch_coalesce = true;
   /// Serve the int8 rung when the pinned generation carries a quantized
   /// twin. Force-disabled process-wide by TPR_QUANT=0/off (checked once
@@ -209,7 +213,7 @@ struct ServiceConfig {
 struct ServiceHealth {
   bool started = false;
   uint64_t generation = 0;       // incumbent model generation (0 = none)
-  int queue_depth = 0;           // queued + batch-waiting requests
+  int queue_depth = 0;           // admitted, not yet picked up requests
   int breaker_state = 0;         // 0 closed, 1 open, 2 half-open
   int consecutive_failures = 0;  // incumbent rung-0 failures folded
   bool canary_installed = false;
@@ -298,7 +302,7 @@ class InferenceService {
   /// Spawns the worker threads. FailedPrecondition without a model.
   Status Start();
 
-  /// Stops admission, fails queued-but-unprocessed requests with
+  /// Stops admission, fails admitted-but-unprocessed requests with
   /// Unavailable, wakes submitters blocked on a full queue (they shed
   /// with Unavailable instead of deadlocking), and joins the workers.
   /// Idempotent and safe to race from several threads; the destructor
@@ -371,15 +375,28 @@ class InferenceService {
     bool skip_rung0 = false;       // breaker-open: straight to rung 1
     bool breaker_predicted = false;  // outcome already folded at admission
     bool breaker_probe = false;      // observed-mode half-open probe
-    // Batched mode: the request's batch-group hash, computed at admission
-    // from (path, encode time, pinned generation). Keys the batched fault
-    // verdicts so outcomes are independent of batch composition.
+    // The request's group key (see GroupKey), computed once at admission.
+    // Keys every group-level fault verdict, so outcomes are independent
+    // of batch composition.
     uint64_t group_key = 0;
-    // Batched mode: the group-level quantized attempt already ran (and
-    // failed) for this request's group, so DegradedLadder must not try
-    // the rung again per-request.
+    // The group-level quantized attempt already ran (and failed) for
+    // this request's group, so DegradedLadder must not try the rung again
+    // per-request.
     bool quant_decided = false;
     std::promise<ServeResult> promise;
+
+    bool PastDeadline() const {
+      return has_deadline && std::chrono::steady_clock::now() >= deadline;
+    }
+    /// A result carrying only this request's identity fields (the
+    /// generation is pinned before the request is parked).
+    ServeResult Outcome() const {
+      ServeResult r;
+      r.ticket = ticket;
+      r.generation = gen->generation;
+      r.canary = canary;
+      return r;
+    }
   };
 
   /// Builds a fresh generation slot (fresh breaker, empty cache).
@@ -388,14 +405,20 @@ class InferenceService {
       uint64_t generation,
       std::shared_ptr<const quant::QuantizedEncoder> quant) const;
 
+  /// The key of the group `req` joins, for a request whose generation
+  /// is pinned: a coalesced group's GroupHash over (path, encode time,
+  /// generation), or the request id when coalescing is off. The one
+  /// source of every group-level fault verdict and backoff jitter.
+  uint64_t GroupKey(const Request& req) const;
+
   /// Pure prediction: will this request degrade WITHOUT a rung-0 attempt
-  /// (injected scratch-alloc failure, or — batched mode — an injected
-  /// batch-flush drop of its group)? Neither counts as a breaker signal.
+  /// (injected scratch-alloc failure, or an injected batch-flush drop of
+  /// its group)? Neither counts as a breaker signal.
   bool PredictRung0Skip(const Request& req) const;
 
   /// Pure prediction: will every rung-0 attempt of this request fail
   /// under the active fault plan? (p-mode sites only; see fault.h.)
-  /// Batched mode keys the attempts by the request's group hash.
+  /// The attempts are keyed by the request's group key.
   bool PredictRung0Failure(const Request& req) const;
 
   /// Admission-time routing + breaker fold + canary resolution for the
@@ -414,26 +437,24 @@ class InferenceService {
   /// slot, rollback drops it. Queues the resolution. Caller holds mu_.
   void ResolveCanaryLocked(CanaryVerdict verdict, const std::string& reason);
 
-  void WorkerLoop();
-  ServeResult Process(Request& req);
-
-  /// Batched pipeline (batch_max > 0). Workers pop formed batches,
-  /// extract their member requests from waiting_, and run each batch
-  /// through ONE padded encoder forward per model generation. A worker
-  /// that finds nothing ready for ~1ms drains the former's partial batch
-  /// (idle flush) — a wall-clock race that changes which batch a request
-  /// rides in but never its outcome (verdicts are group-keyed).
+  /// The one serving pipeline. Workers pop formed batches, extract their
+  /// member requests from waiting_, and run each batch through ONE
+  /// encoder forward per model generation. A worker that finds nothing
+  /// ready for ~1ms drains the former's partial batch (idle flush) — a
+  /// wall-clock race that changes which batch a request rides in but
+  /// never its outcome (verdicts are group-keyed).
   void BatchedWorkerLoop();
   void ProcessBatch(batch::FormedBatch& batch,
                     std::vector<std::vector<Request>>& members);
 
-  /// DeadlineExceeded outcome for `req` (reports a timed-out half-open
-  /// probe as failure so the breaker never waits on it).
-  ServeResult DeadlineResult(Request& req);
+  /// DeadlineExceeded outcome for `req` after `attempts` rung-0 attempts
+  /// (reports a timed-out half-open probe as failure so the breaker
+  /// never waits on it).
+  ServeResult DeadlineResult(Request& req, int attempts);
 
-  /// Rungs 1-3 of the ladder (quantized -> cache -> fallback), shared by
-  /// the per-request and batched pipelines. `result` carries the
-  /// identity fields and the rung-0 attempt count already made.
+  /// Rungs 1-3 of the ladder (quantized -> cache -> fallback). `result`
+  /// carries the identity fields and the rung-0 attempt count already
+  /// made.
   ServeResult DegradedLadder(Request& req, ServeResult result,
                              const Stopwatch& sw);
 
@@ -454,15 +475,19 @@ class InferenceService {
   const core::EncoderConfig encoder_config_;
   const ServiceConfig config_;
   const obs::MetricScope metrics_;  // prefix = config_.metrics_prefix
+  // Counted for every formed batch, i.e. every request when unbatched,
+  // so resolved once: a MetricScope lookup takes the registry's lock.
+  obs::Counter& batches_;
+  obs::Counter& batched_requests_;
+  obs::Counter& batch_coalesced_;
 
-  mutable std::mutex mu_;  // queue + tickets + generation slots/breakers
+  mutable std::mutex mu_;  // batches + tickets + generation slots/breakers
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<Request> queue_;
-  // Batched mode (batch_max > 0): the former collects admissions into
-  // groups, waiting_ parks the admitted requests by ticket until their
-  // batch flushes into ready_. All guarded by mu_.
-  std::unique_ptr<batch::BatchFormer> former_;
+  // The former collects admissions into groups, waiting_ parks the
+  // admitted requests by ticket until their batch flushes into ready_.
+  // All guarded by mu_.
+  batch::BatchFormer former_;
   std::unordered_map<uint64_t, Request> waiting_;
   std::deque<batch::FormedBatch> ready_;
   std::shared_ptr<GenState> live_;    // incumbent; null before install

@@ -215,19 +215,6 @@ TEST_F(ServeTest, FullRungMatchesTheEncoderExactly) {
   EXPECT_EQ(static_cast<int>(r.embedding.size()), svc.representation_dim());
 }
 
-TEST_F(ServeTest, CancellableEncodeMatchesAndHonoursCancellation) {
-  TemporalPathEncoder encoder(features(), TinyEncoder());
-  const PathQuery q = Query(0, 1);
-  auto full = encoder.EncodeValueCancellable(q.path, q.depart_time_s,
-                                             [] { return false; });
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(*full, encoder.EncodeValue(q.path, q.depart_time_s));
-  EXPECT_FALSE(encoder
-                   .EncodeValueCancellable(q.path, q.depart_time_s,
-                                           [] { return true; })
-                   .has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Model lifecycle through the checkpoint layer.
 // ---------------------------------------------------------------------------
@@ -962,6 +949,36 @@ struct Outcome {
   }
 };
 
+// Submits query(i) for i in [0, n) from one thread — the determinism
+// contract's single submitter — and collects every outcome in order.
+template <typename QueryFn>
+std::vector<Outcome> SubmitAll(InferenceService& svc, int n, QueryFn query) {
+  std::vector<Outcome> outcomes(static_cast<size_t>(n));
+  std::vector<std::pair<size_t, std::future<ServeResult>>> pending;
+  pending.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    auto submitted = svc.Submit(query(i));
+    if (!submitted.ok()) {
+      outcomes[static_cast<size_t>(i)].code =
+          static_cast<int>(submitted.status().code());
+      continue;
+    }
+    pending.emplace_back(static_cast<size_t>(i), std::move(*submitted));
+  }
+  for (auto& [idx, future] : pending) {
+    ServeResult r = future.get();
+    Outcome& o = outcomes[idx];
+    o.code = static_cast<int>(r.status.code());
+    if (r.status.ok()) {
+      o.rung = static_cast<int>(r.rung);
+      o.attempts = r.attempts;
+      o.generation = r.generation;
+      o.embedding = std::move(r.embedding);
+    }
+  }
+  return outcomes;
+}
+
 class SoakTest : public ServeTest {
  protected:
   static constexpr char kSpec[] =
@@ -980,30 +997,9 @@ class SoakTest : public ServeTest {
 
     // Single submitter, ids == tickets: the determinism contract's
     // preconditions (see serve/service.h).
-    std::vector<Outcome> outcomes(static_cast<size_t>(n));
-    std::vector<std::pair<size_t, std::future<ServeResult>>> pending;
-    pending.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      auto submitted = svc.Submit(
-          Query(i % 31, static_cast<uint64_t>(i), (i % 7) * 500));
-      if (!submitted.ok()) {
-        outcomes[static_cast<size_t>(i)].code =
-            static_cast<int>(submitted.status().code());
-        continue;
-      }
-      pending.emplace_back(static_cast<size_t>(i), std::move(*submitted));
-    }
-    for (auto& [idx, future] : pending) {
-      ServeResult r = future.get();
-      Outcome& o = outcomes[idx];
-      o.code = static_cast<int>(r.status.code());
-      if (r.status.ok()) {
-        o.rung = static_cast<int>(r.rung);
-        o.attempts = r.attempts;
-        o.generation = r.generation;
-        o.embedding = std::move(r.embedding);
-      }
-    }
+    std::vector<Outcome> outcomes = SubmitAll(svc, n, [&](int i) {
+      return Query(i % 31, static_cast<uint64_t>(i), (i % 7) * 500);
+    });
     svc.Shutdown();
     fault::ClearPlan();
     return outcomes;
@@ -1087,30 +1083,9 @@ class QuantLadderSoakTest : public ServeTest {
     svc.InstallModel(encoder, 1, twin);
     EXPECT_TRUE(svc.Start().ok());
 
-    std::vector<Outcome> outcomes(static_cast<size_t>(n));
-    std::vector<std::pair<size_t, std::future<ServeResult>>> pending;
-    pending.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      auto submitted = svc.Submit(
-          Query(i % 17, static_cast<uint64_t>(i), (i % 5) * 700));
-      if (!submitted.ok()) {
-        outcomes[static_cast<size_t>(i)].code =
-            static_cast<int>(submitted.status().code());
-        continue;
-      }
-      pending.emplace_back(static_cast<size_t>(i), std::move(*submitted));
-    }
-    for (auto& [idx, future] : pending) {
-      ServeResult r = future.get();
-      Outcome& o = outcomes[idx];
-      o.code = static_cast<int>(r.status.code());
-      if (r.status.ok()) {
-        o.rung = static_cast<int>(r.rung);
-        o.attempts = r.attempts;
-        o.generation = r.generation;
-        o.embedding = std::move(r.embedding);
-      }
-    }
+    std::vector<Outcome> outcomes = SubmitAll(svc, n, [&](int i) {
+      return Query(i % 17, static_cast<uint64_t>(i), (i % 5) * 700);
+    });
     svc.Shutdown();
     fault::ClearPlan();
     return outcomes;
@@ -1152,6 +1127,75 @@ TEST_F(QuantLadderSoakTest, EveryRungServesAndOutcomesAreBitwiseIdentical) {
   for (size_t i = 0; i < run_c.size(); ++i) {
     ASSERT_TRUE(run_a[i] == run_c[i])
         << "outcome diverged from single-worker run at request " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One pipeline: unbatched serving (batch_max = 0) is a batch of one with
+// coalescing off, keyed by the request id — so it must give every
+// request exactly the outcome an uncoalesced batched service gives it,
+// at any worker count and whatever batch the request rides in.
+// ---------------------------------------------------------------------------
+
+class CrossModeSoakTest : public ServeTest {
+ protected:
+  static constexpr char kSpec[] =
+      "encoder-forward:p=0.4,seed=5;alloc:p=0.05,seed=3;"
+      "quant-encode:p=0.5,seed=7";
+
+  std::vector<Outcome> RunSoak(int batch_max, int num_workers, int n) {
+    Install(kSpec);
+    ServiceConfig cfg = TinyService();
+    cfg.num_workers = num_workers;
+    cfg.queue_capacity = 128;
+    cfg.block_when_full = true;
+    cfg.batch_max = batch_max;
+    cfg.batch_ticks = 16;
+    cfg.batch_coalesce = false;
+    cfg.cache_capacity = 8;  // force cache recomputes
+    auto encoder =
+        std::make_shared<TemporalPathEncoder>(features(), TinyEncoder());
+    auto twin = MakeTwin(*encoder, 1);
+    EXPECT_NE(twin, nullptr);
+    InferenceService svc(features(), TinyEncoder(), cfg);
+    svc.InstallModel(encoder, 1, twin);
+    EXPECT_TRUE(svc.Start().ok());
+
+    // Request ids differ from admission tickets, so a verdict keyed by
+    // the ticket instead of the id would show.
+    std::vector<Outcome> outcomes = SubmitAll(svc, n, [&](int i) {
+      return Query(i % 23, static_cast<uint64_t>(i) * 7 + 3, (i % 5) * 700);
+    });
+    svc.Shutdown();
+    fault::ClearPlan();
+    return outcomes;
+  }
+};
+
+TEST_F(CrossModeSoakTest, UnbatchedAndUncoalescedBatchedOutcomesAreIdentical) {
+  const int n = 1500;
+  const std::vector<Outcome> reference = RunSoak(/*batch_max=*/0, 1, n);
+  int rung_count[4] = {0, 0, 0, 0};
+  int retried = 0;
+  for (const Outcome& o : reference) {
+    ASSERT_EQ(o.code, static_cast<int>(StatusCode::kOk));
+    rung_count[o.rung] += 1;
+    retried += o.attempts > 1;
+  }
+  EXPECT_GT(rung_count[0], 0) << "full rung never reached";
+  EXPECT_GT(rung_count[1], 0) << "quantized rung never reached";
+  EXPECT_GT(rung_count[2] + rung_count[3], 0) << "lower rungs never reached";
+  EXPECT_GT(retried, 0) << "no request was retried";
+
+  for (const auto& [batch_max, workers] :
+       std::vector<std::pair<int, int>>{{0, 4}, {8, 1}, {8, 4}}) {
+    const std::vector<Outcome> run = RunSoak(batch_max, workers, n);
+    ASSERT_EQ(run.size(), reference.size());
+    for (size_t i = 0; i < run.size(); ++i) {
+      ASSERT_TRUE(run[i] == reference[i])
+          << "batch_max=" << batch_max << " workers=" << workers
+          << ": outcome diverged at request " << i;
+    }
   }
 }
 
