@@ -466,21 +466,6 @@ TEST_F(BatchTest, EncodeValueBatchCancellableHonoursCancellation) {
   EXPECT_EQ(*full, encoder.EncodeValueBatch(items));
   EXPECT_FALSE(encoder.EncodeValueBatchCancellable(items, [] { return true; })
                    .has_value());
-
-  // A batch of one is the service's single-item encode: through the
-  // packed weights it matches EncodeValue and honours cancellation too.
-  const std::vector<core::PathTimeItem> one{items[0]};
-  const auto packed = encoder.PackWeights();
-  auto single = encoder.EncodeValueBatchCancellable(
-      one, [] { return false; }, packed.get());
-  ASSERT_TRUE(single.has_value());
-  ASSERT_EQ(single->size(), 1u);
-  EXPECT_EQ(single->front(),
-            encoder.EncodeValue(*one[0].path, one[0].depart_time_s));
-  EXPECT_FALSE(encoder
-                   .EncodeValueBatchCancellable(one, [] { return true; },
-                                                packed.get())
-                   .has_value());
 }
 
 // ---------------------------------------------------------------------------

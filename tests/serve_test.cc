@@ -215,6 +215,24 @@ TEST_F(ServeTest, FullRungMatchesTheEncoderExactly) {
   EXPECT_EQ(static_cast<int>(r.embedding.size()), svc.representation_dim());
 }
 
+TEST_F(ServeTest, CancellableEncodeMatchesAndHonoursCancellation) {
+  // The service's single-item encode is a one-item batch through the
+  // packed weights: it matches EncodeValue and honours cancellation.
+  TemporalPathEncoder encoder(features(), TinyEncoder());
+  const PathQuery q = Query(0, 1);
+  const std::vector<core::PathTimeItem> one{{&q.path, q.depart_time_s}};
+  const auto packed = encoder.PackWeights();
+  auto full = encoder.EncodeValueBatchCancellable(
+      one, [] { return false; }, packed.get());
+  ASSERT_TRUE(full.has_value());
+  ASSERT_EQ(full->size(), 1u);
+  EXPECT_EQ(full->front(), encoder.EncodeValue(q.path, q.depart_time_s));
+  EXPECT_FALSE(encoder
+                   .EncodeValueBatchCancellable(one, [] { return true; },
+                                                packed.get())
+                   .has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Model lifecycle through the checkpoint layer.
 // ---------------------------------------------------------------------------
