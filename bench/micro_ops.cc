@@ -15,6 +15,7 @@
 #include "gbdt/gradient_boosting.h"
 #include "kern/arena.h"
 #include "kern/kern.h"
+#include "kern/kern_internal.h"
 #include "nn/modules.h"
 #include "nn/optimizer.h"
 #include "node2vec/node2vec.h"
@@ -385,6 +386,83 @@ double BestSeconds(int reps, int iters, const std::function<void()>& fn) {
   return best;
 }
 
+double Percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const auto rank = static_cast<size_t>(q * (values.size() - 1) + 0.5);
+  return values[std::min(rank, values.size() - 1)];
+}
+
+// Per-layer GEMM rates of the tape-free LSTM forward at d_h = 128, at
+// both tile widths of the avx2 GEMM. Each shape is called with the
+// operands its entry point passes: the recurrent step (m active items x
+// 128 x 512) reads W_hh's prepacked panels as GemmAccPacked does, the
+// input GEMM (312 item-major rows x {48, 128} x 512) reads W_ih in place
+// as GemmAcc does. Writes "<name>.<bits>" as the median GFLOP/s of 7
+// trials and "<name>.<bits>.iqr" as their interquartile range; a width
+// the host cannot run is left out.
+void WriteEngineGemmRates(std::FILE* f) {
+  if (!kern::CpuSupportsAvx2()) return;
+  struct Shape {
+    const char* name;
+    int m, k;
+    bool packed;
+  };
+  const Shape shapes[] = {
+      {"kern.rec_gemm_gflops.m1", 1, 128, true},
+      {"kern.rec_gemm_gflops.m4", 4, 128, true},
+      {"kern.rec_gemm_gflops.m8", 8, 128, true},
+      {"kern.rec_gemm_gflops.m16", 16, 128, true},
+      {"kern.rec_gemm_gflops.m32", 32, 128, true},
+      {"kern.input_gemm_gflops.k48", 312, 48, false},
+      {"kern.input_gemm_gflops.k128", 312, 128, false},
+  };
+  constexpr int n = 512, kTrials = 7;
+  Rng rng(35);
+  std::vector<float> a(static_cast<size_t>(312) * 128);
+  std::vector<float> b(static_cast<size_t>(128) * n);
+  for (auto& v : a) v = static_cast<float>(rng.Gaussian());
+  for (auto& v : b) v = static_cast<float>(rng.Gaussian());
+  std::vector<float> out(static_cast<size_t>(312) * n);
+  std::vector<float> packed;
+  for (const Shape& s : shapes) {
+    packed.assign(kern::PackedPanelsSize(s.k, n), 0.0f);
+    kern::PackPanels(b.data(), s.k, n, packed.data());
+    const float* pk = s.packed ? packed.data() : nullptr;
+    const double flops = 2.0 * s.m * s.k * n;
+    // ~1e8 FLOPs per trial: about a millisecond at either width.
+    const int iters = std::max(3, static_cast<int>(1e8 / flops));
+    for (int bits : {256, 512}) {
+      if (bits == 512 && !kern::CpuSupportsAvx512F()) continue;
+      const auto call = [&] {
+        if (bits == 512) {
+          kern::avx2::GemmStridedA512(a.data(), s.k, 1, b.data(), pk,
+                                      out.data(), s.m, s.k, n);
+        } else {
+          kern::avx2::GemmStridedA256(a.data(), s.k, 1, b.data(), pk,
+                                      out.data(), s.m, s.k, n, 0);
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      };
+      std::fill(out.begin(), out.end(), 0.0f);
+      call();  // warm caches
+      std::vector<double> rates;
+      for (int t = 0; t < kTrials; ++t) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < iters; ++i) call();
+        const std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        rates.push_back(flops * iters / dt.count() / 1e9);
+      }
+      std::fprintf(f, "    \"%s.%d\": %.6g,\n", s.name, bits,
+                   Percentile(rates, 0.5));
+      std::fprintf(f, "    \"%s.%d.iqr\": %.6g,\n", s.name, bits,
+                   Percentile(rates, 0.75) - Percentile(rates, 0.25));
+    }
+  }
+}
+
 void WriteKernelPhaseJson(const char* path, bool smoke) {
   // The batched recurrent step: m = lockstep batch, k = d_hidden,
   // n = 4 * d_hidden gate channels. Both legs read B in the same
@@ -433,6 +511,8 @@ void WriteKernelPhaseJson(const char* path, bool smoke) {
                smoke ? "true" : "false");
   std::fprintf(f, "    \"kern.avx2_available\": %d,\n",
                kern::CpuSupportsAvx2() ? 1 : 0);
+  std::fprintf(f, "    \"kern.gemm_bits\": %d,\n", kern::GemmBits());
+  WriteEngineGemmRates(f);
   std::fprintf(f, "    \"kern.fp32_gemm_gflops\": %.6g,\n", fp32_rate / 1e9);
   std::fprintf(f, "    \"kern.int8_gemm_gops\": %.6g,\n", int8_rate / 1e9);
   std::fprintf(f, "    \"kern.int8_vs_fp32_gemm_rate\": %.6g\n",

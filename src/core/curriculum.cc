@@ -58,12 +58,24 @@ StatusOr<std::vector<ScoredSample>> EvaluateDifficulty(
   // each expert's construction and updates are deterministic functions
   // of its config alone, so the result is thread-count invariant.
   std::vector<std::unique_ptr<WscModel>> experts(n);
+  std::vector<int> owner(n, 0);  // WorkerIndex() that built experts[j]
   std::vector<Status> expert_status(n, Status::OK());
+  // Each expert dies on the worker that built it, so its blocks return to
+  // that worker's arena, where the stage epochs that follow reuse them.
+  par::ThreadPool& tp = par::DefaultPool();
+  const auto free_experts = [&] {
+    tp.RunOnAllWorkers([&](int w) {
+      for (int j = 0; j < n; ++j) {
+        if (owner[j] == w) experts[j].reset();
+      }
+    });
+  };
   {
     obs::ScopedSpan experts_span("curriculum.train_experts", "experts", n);
-    par::DefaultPool().ParallelFor(n, [&](int j) {
+    tp.ParallelFor(n, [&](int j) {
       obs::ScopedSpan expert_span("curriculum.expert", "expert", j);
       Stopwatch expert_sw;
+      owner[j] = par::WorkerIndex();
       WscConfig expert_config = wsc_config;
       expert_config.seed = wsc_config.seed + 1000 + j;
       expert_config.encoder.seed = wsc_config.encoder.seed + 1000 + j;
@@ -82,7 +94,10 @@ StatusOr<std::vector<ScoredSample>> EvaluateDifficulty(
     });
   }
   for (const auto& st : expert_status) {
-    if (!st.ok()) return st;
+    if (!st.ok()) {
+      free_experts();
+      return st;
+    }
   }
 
   // Score every sample: sum of cosine similarities between its own
@@ -96,7 +111,7 @@ StatusOr<std::vector<ScoredSample>> EvaluateDifficulty(
   obs::ScopedSpan score_span("curriculum.score_samples", "samples",
                              static_cast<double>(todo.size()));
   std::vector<ScoredSample> scored(todo.size());
-  par::DefaultPool().ParallelFor(
+  tp.ParallelFor(
       static_cast<int>(todo.size()), [&](int t) {
         const auto [j, idx] = todo[t];
         const auto& sample = data.unlabeled[idx];
@@ -111,6 +126,7 @@ StatusOr<std::vector<ScoredSample>> EvaluateDifficulty(
         }
         scored[t] = {idx, score};
       });
+  free_experts();
   return scored;
 }
 

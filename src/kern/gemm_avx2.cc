@@ -1,13 +1,17 @@
-// AVX2/FMA GEMM microkernels. This is the only TU compiled with
-// -mavx2 -mfma; nothing here may run unless kern dispatch verified CPUID
-// support. All loops use a fixed summation order, so results are
-// deterministic for a pinned kernel — just not bitwise equal to scalar.
+// AVX2/FMA GEMM microkernels, compiled with -mavx2 -mfma; nothing here
+// may run unless kern dispatch verified CPUID support. All loops use a
+// fixed summation order, so results are deterministic for a pinned
+// kernel — just not bitwise equal to scalar.
 //
 // Layout of the main kernels: 16-column panels of B (optionally packed
 // contiguously when the row count amortises the copy), register tiles of
-// up to 4 A-rows x 16 columns accumulated over the full K extent in ymm
+// up to 6 A-rows x 16 columns accumulated over the full K extent in ymm
 // registers, then added into C once per tile. The A element stride is
 // parameterised so the same microkernel serves both A and A^T operands.
+// On AVX-512F hosts GemmStridedA hands the full 32-column blocks of most
+// shapes, and LstmCellRow its full 16-column chunks, to the zmm code of
+// gemm_avx512.cc; see kern_internal.h for why that never changes a bit
+// of the result.
 
 #include <immintrin.h>
 
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "kern/arena.h"
+#include "kern/kern.h"
 #include "kern/kern_internal.h"
 
 namespace tpr::kern::avx2 {
@@ -148,18 +153,17 @@ inline void Tile8(const float* abase, size_t a_row_stride, size_t a_k_stride,
   }
 }
 
-// Shared driver for out += op(A) * B with op(A) addressed through the
-// two strides (see Tile16). `prepacked`, when non-null, holds every full
-// 16-column panel of B in PackPanels order, so no panel is copied here.
-void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
-                  const float* b, const float* prepacked, float* out, int m,
-                  int k, int n) {
+}  // namespace
+
+void GemmStridedA256(const float* a, size_t a_row_stride, size_t a_k_stride,
+                     const float* b, const float* prepacked, float* out,
+                     int m, int k, int n, int j_begin) {
   FloatBuffer pack;
   const bool do_pack =
-      prepacked == nullptr && m >= kPackMinRows && n >= kPanel;
+      prepacked == nullptr && m >= kPackMinRows && n - j_begin >= kPanel;
   if (do_pack) pack = FloatBuffer(static_cast<size_t>(k) * kPanel);
 
-  int j = 0;
+  int j = j_begin;
   for (; j + kPanel <= n; j += kPanel) {
     const float* bcol = b + j;
     size_t bstride = static_cast<size_t>(n);
@@ -214,6 +218,33 @@ void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
       out[static_cast<size_t>(i) * n + j] += s;
     }
   }
+}
+
+namespace {
+
+#if !defined(TPR_NO_AVX512)
+// Where the zmm tiles win, measured on the encoder's shapes (k in {48,
+// 128}, n = 512; bench_micro_ops kern.*_gemm_gflops): everywhere but a
+// prepacked B with m <= 2. There each B element feeds one or two FMAs, the
+// call streams B from L2, and reading two panels at once per 32-column
+// block runs ~10% slower than one panel at a time.
+bool UseWideTiles(const float* prepacked, int m, int n) {
+  return CpuSupportsAvx512F() && n >= 32 && (prepacked == nullptr || m > 2);
+}
+#endif
+
+// Behind every op(A) * B entry point: one width per call, chosen
+// by shape alone (never by values), so results do not depend on it.
+void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
+                  const float* b, const float* prepacked, float* out, int m,
+                  int k, int n) {
+#if !defined(TPR_NO_AVX512)
+  if (UseWideTiles(prepacked, m, n)) {
+    GemmStridedA512(a, a_row_stride, a_k_stride, b, prepacked, out, m, k, n);
+    return;
+  }
+#endif
+  GemmStridedA256(a, a_row_stride, a_k_stride, b, prepacked, out, m, k, n, 0);
 }
 
 }  // namespace
@@ -657,7 +688,8 @@ void AddAcc(const float* x, float* y, int n) {
 // domain (see kern.h). What matters for the batched-inference contract
 // is that every row of a batch goes through the exact same lane-uniform
 // code below, so batched rows stay bitwise equal to single-row calls
-// under either kernel.
+// under either kernel. gemm_avx512.cc repeats this code 16 lanes wide,
+// op for op; edit the two together (kern_test GemmWidthTest checks it).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -746,9 +778,9 @@ inline void GruCell8(__m256 gir, __m256 giz, __m256 gin, __m256 ghr,
 
 }  // namespace
 
-void LstmCellRow(const float* g, const float* c_prev, float* act, float* out,
-                 int h) {
-  int j = 0;
+void LstmCellRow256(const float* g, const float* c_prev, float* act,
+                    float* out, int h, int j_begin) {
+  int j = j_begin;
   for (; j + 8 <= h; j += 8) {
     LstmCell8(_mm256_loadu_ps(g + j), _mm256_loadu_ps(g + h + j),
               _mm256_loadu_ps(g + 2 * h + j), _mm256_loadu_ps(g + 3 * h + j),
@@ -783,6 +815,17 @@ void LstmCellRow(const float* g, const float* c_prev, float* act, float* out,
       out[h + j + t] = stage[6][t];
     }
   }
+}
+
+void LstmCellRow(const float* g, const float* c_prev, float* act, float* out,
+                 int h) {
+#if !defined(TPR_NO_AVX512)
+  if (h >= 16 && CpuSupportsAvx512F()) {
+    LstmCellRow512(g, c_prev, act, out, h);
+    return;
+  }
+#endif
+  LstmCellRow256(g, c_prev, act, out, h, 0);
 }
 
 void GruCellRow(const float* gi, const float* gh, const float* h_prev,

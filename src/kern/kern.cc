@@ -1,5 +1,9 @@
 #include "kern/kern.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -137,13 +141,73 @@ void GemmInt8Wide(const int8_t* a, const int16_t* bt, int32_t* out, int m,
 // -1 = unresolved; otherwise the int value of the Kernel enum.
 std::atomic<int> g_kernel{-1};
 
+int GemmBitsOf(Kernel k) {
+  return k == Kernel::kAvx2 ? (CpuSupportsAvx512F() ? 512 : 256) : 0;
+}
+
+void PublishKernel(Kernel k) {
+  obs::GetGauge("kern.active").Set(static_cast<double>(static_cast<int>(k)));
+  obs::GetGauge("kern.gemm_bits").Set(static_cast<double>(GemmBitsOf(k)));
+}
+
 }  // namespace
+
+// Builds without a SIMD TU still define its width functions, so callers of
+// kern_internal.h (tests, benches) link everywhere; they are reached only
+// past a CpuSupports* check that is false in such a build.
+#if defined(TPR_NO_AVX2)
+void avx2::GemmStridedA256(const float*, size_t, size_t, const float*,
+                           const float*, float*, int, int, int, int) {
+  TPR_CHECK(false) << "this build has no avx2 kernels";
+}
+void avx2::LstmCellRow256(const float*, const float*, float*, float*, int,
+                          int) {
+  TPR_CHECK(false) << "this build has no avx2 kernels";
+}
+#endif
+#if defined(TPR_NO_AVX512)
+void avx2::GemmStridedA512(const float*, size_t, size_t, const float*,
+                           const float*, float*, int, int, int) {
+  TPR_CHECK(false) << "this build has no AVX-512F kernels";
+}
+void avx2::LstmCellRow512(const float*, const float*, float*, float*, int) {
+  TPR_CHECK(false) << "this build has no AVX-512F kernels";
+}
+#endif
 
 bool CpuSupportsAvx2() {
 #if defined(TPR_NO_AVX2)
   return false;
 #elif defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+bool CpuSupportsAvx512F() {
+#if defined(TPR_NO_AVX512)
+  return false;
+#elif defined(__x86_64__) || defined(__i386__)
+  static const bool supported = [] {
+    if (!CpuSupportsAvx2()) return false;  // the wide path's tails are ymm
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || (ecx & bit_OSXSAVE) == 0) {
+      return false;
+    }
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) ||
+        (ebx & bit_AVX512F) == 0) {
+      return false;
+    }
+    // XCR0 must show the OS saving SSE, AVX, opmask and both zmm halves
+    // (bits 1, 2, 5, 6, 7); otherwise the zmm state is not preserved
+    // across context switches and the instructions fault.
+    unsigned xcr0_lo = 0, xcr0_hi = 0;
+    __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+    constexpr unsigned kZmmState = 0xe6;
+    return (xcr0_lo & kZmmState) == kZmmState;
+  }();
+  return supported;
 #else
   return false;
 #endif
@@ -177,7 +241,7 @@ Kernel ActiveKernel() {
     g_kernel.compare_exchange_strong(expected, static_cast<int>(resolved),
                                      std::memory_order_acq_rel);
     k = g_kernel.load(std::memory_order_acquire);
-    obs::GetGauge("kern.active").Set(static_cast<double>(k));
+    PublishKernel(static_cast<Kernel>(k));
   }
   return static_cast<Kernel>(k);
 }
@@ -186,8 +250,10 @@ void SetKernel(Kernel k) {
   TPR_CHECK(k == Kernel::kScalar || CpuSupportsAvx2())
       << "cannot select avx2 kernels: unsupported on this CPU/build";
   g_kernel.store(static_cast<int>(k), std::memory_order_release);
-  obs::GetGauge("kern.active").Set(static_cast<double>(static_cast<int>(k)));
+  PublishKernel(k);
 }
+
+int GemmBits() { return GemmBitsOf(ActiveKernel()); }
 
 void GemmAcc(const float* a, const float* b, float* out, int m, int k,
              int n) {

@@ -14,6 +14,16 @@
 //            order than scalar, so results agree to ~1e-6 rel, not
 //            bitwise.
 //
+// `avx2` names a numerics class, not an instruction set. On hosts whose
+// CPUID and XCR0 report AVX-512F, GemmAcc, GemmAccPacked and
+// GemmTransAAcc run most shapes with 32-column zmm tiles instead of
+// 16-column ymm tiles, and LstmCellRow runs 16 lanes at a time. Either
+// GEMM width computes each output element as one FMA chain over k, from
+// zero and in order, added into the output once, and the cell does the
+// same ops in every lane, so the results are bitwise identical; the
+// width is picked from the operand shape alone, with no knob, and a host
+// without AVX-512F runs the 256-bit code only.
+//
 // Selection: the TPR_KERNEL environment variable (scalar | avx2 | auto,
 // default auto) resolved once on first use; `auto` picks avx2 iff the
 // CPU supports AVX2+FMA. Pinning TPR_KERNEL makes any run bitwise
@@ -32,6 +42,10 @@ enum class Kernel { kScalar = 0, kAvx2 = 1 };
 /// True when this binary and CPU can run the avx2 kernels.
 bool CpuSupportsAvx2();
 
+/// True when this binary, CPU and OS can run the 512-bit GEMM tiles
+/// behind the avx2 kernel (AVX-512F in CPUID, zmm state enabled in XCR0).
+bool CpuSupportsAvx512F();
+
 /// The kernel every dispatching entry point currently routes to.
 /// Resolved from TPR_KERNEL on first call.
 Kernel ActiveKernel();
@@ -42,6 +56,11 @@ void SetKernel(Kernel k);
 
 /// "scalar" or "avx2".
 const char* KernelName(Kernel k);
+
+/// Widest GEMM register tile the active kernel runs here, in bits: 512 or
+/// 256 under avx2 (by CpuSupportsAvx512F), 0 under scalar. Published as
+/// the kern.gemm_bits gauge beside kern.active.
+int GemmBits();
 
 /// Parses a TPR_KERNEL value ("scalar" | "avx2" | "auto" | ""). Fatal on
 /// unknown strings or when avx2 is requested but unsupported.

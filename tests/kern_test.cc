@@ -2,13 +2,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "gradcheck.h"
 #include "kern/arena.h"
 #include "kern/kern.h"
+#include "kern/kern_internal.h"
 #include "nn/autograd.h"
 #include "nn/modules.h"
 #include "nn/tensor.h"
@@ -184,6 +187,93 @@ TEST(GemmParityTest, EachKernelIsBitwiseDeterministic) {
   }
 }
 
+// The 512-bit tiles must reproduce the 256-bit tiles bit for bit: every
+// row-tile remainder (m 1-40), k 1-160, every column tail (n 1-47: the
+// 32-column blocks, the 16-column panel, the 8-column tile and the scalar
+// tail) and n = 512, with B in place, prepacked, and A transposed.
+TEST(GemmWidthTest, WideTilesAreBitwiseNarrowTiles) {
+  if (!CpuSupportsAvx512F()) {
+    GTEST_SKIP() << "no AVX-512F on this CPU/OS/build: only the 256-bit "
+                    "tiles can run, so there is no second width to compare";
+  }
+  std::vector<int> ns;
+  for (int n = 1; n <= 47; ++n) ns.push_back(n);
+  ns.push_back(512);
+  enum Mode { kInPlace, kPacked, kTransA };
+  int calls = 0;
+  for (int m = 1; m <= 40; ++m) {
+    for (size_t ni = 0; ni < ns.size(); ++ni) {
+      const int n = ns[ni];
+      // Walks k through 1..160 many times over as (m, n) vary.
+      const int k = 1 + static_cast<int>((37 * m + 11 * ni) % 160);
+      const uint64_t seed = static_cast<uint64_t>(m) * 1000 + ni;
+      const auto a = RandomVec(static_cast<size_t>(m) * k, seed);
+      const auto b = RandomVec(static_cast<size_t>(k) * n, seed + 500);
+      std::vector<float> packed(PackedPanelsSize(k, n));
+      PackPanels(b.data(), k, n, packed.data());
+      const size_t on = static_cast<size_t>(m) * n;
+      for (Mode mode : {kInPlace, kPacked, kTransA}) {
+        // a holds m x k (in place, packed) or k x m (transposed A).
+        const size_t row_stride =
+            mode == kTransA ? 1 : static_cast<size_t>(k);
+        const size_t k_stride = mode == kTransA ? static_cast<size_t>(m) : 1;
+        const float* pb = mode == kPacked ? packed.data() : nullptr;
+        std::vector<float> narrow(on), wide(on);
+        for (size_t i = 0; i < on; ++i) {
+          narrow[i] = wide[i] = 0.25f * static_cast<float>(i % 7);
+        }
+        avx2::GemmStridedA256(a.data(), row_stride, k_stride, b.data(), pb,
+                              narrow.data(), m, k, n, 0);
+        avx2::GemmStridedA512(a.data(), row_stride, k_stride, b.data(), pb,
+                              wide.data(), m, k, n);
+        ++calls;
+        ASSERT_EQ(0, std::memcmp(narrow.data(), wide.data(),
+                                 on * sizeof(float)))
+            << "m=" << m << " k=" << k << " n=" << n << " mode=" << mode;
+      }
+    }
+  }
+  EXPECT_EQ(calls, 40 * 48 * 3);
+}
+
+// The 16-lane LSTM cell must reproduce the 8-lane one bit for bit, on the
+// ragged tails (h % 16 != 0, h % 8 != 0), at the encoder's h = 128, and on
+// inputs that reach the exp clamps, infinities and NaN.
+TEST(GemmWidthTest, WideLstmCellIsBitwiseNarrowCell) {
+  if (!CpuSupportsAvx512F()) {
+    GTEST_SKIP() << "no AVX-512F on this CPU/OS/build: only the 256-bit "
+                    "cell can run, so there is no second width to compare";
+  }
+  const float kSpecial[] = {0.0f, -0.0f, 88.0f, -88.0f, 1e4f, -1e4f,
+                            INFINITY, -INFINITY, NAN, 1e-40f};
+  for (int h = 1; h <= 136; ++h) {
+    for (float scale : {1.0f, 8.0f, 60.0f}) {
+      auto g = RandomVec(4 * static_cast<size_t>(h), 700 + h);
+      auto c_prev = RandomVec(h, 900 + h);
+      for (auto& v : g) v *= scale;
+      for (auto& v : c_prev) v *= scale;
+      if (scale == 60.0f) {
+        for (size_t i = 0; i < g.size(); i += 7) {
+          g[i] = kSpecial[(i / 7) % std::size(kSpecial)];
+        }
+        c_prev[h / 2] = kSpecial[h % std::size(kSpecial)];
+      }
+      std::vector<float> act256(5 * h), out256(2 * h), act512(5 * h),
+          out512(2 * h);
+      avx2::LstmCellRow256(g.data(), c_prev.data(), act256.data(),
+                           out256.data(), h, 0);
+      avx2::LstmCellRow512(g.data(), c_prev.data(), act512.data(),
+                           out512.data(), h);
+      ASSERT_EQ(0, std::memcmp(act256.data(), act512.data(),
+                               act256.size() * sizeof(float)))
+          << "act, h=" << h << " scale=" << scale;
+      ASSERT_EQ(0, std::memcmp(out256.data(), out512.data(),
+                               out256.size() * sizeof(float)))
+          << "out, h=" << h << " scale=" << scale;
+    }
+  }
+}
+
 TEST(ElementwiseParityTest, FusedActivationsMatchScalar) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
   for (int n : {1, 7, 15, 16, 17, 64, 100}) {
@@ -248,6 +338,19 @@ TEST(DispatchTest, ResolveKernelSpec) {
   if (CpuSupportsAvx2()) {
     EXPECT_EQ(ResolveKernelSpec("avx2"), Kernel::kAvx2);
   }
+}
+
+// Prints the GEMM width this process runs, so a CI log shows which tiles
+// a kernel leg exercised.
+TEST(DispatchTest, ReportsGemmWidth) {
+  const Kernel k = ActiveKernel();
+  std::printf("[kern] kernel %s, GEMM tiles %d bits wide\n", KernelName(k),
+              GemmBits());
+  const int expected =
+      k == Kernel::kAvx2 ? (CpuSupportsAvx512F() ? 512 : 256) : 0;
+  EXPECT_EQ(GemmBits(), expected);
+  ScopedKernel pin(Kernel::kScalar);
+  EXPECT_EQ(GemmBits(), 0);
 }
 
 TEST(DispatchTest, KernelNames) {
