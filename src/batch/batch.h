@@ -3,9 +3,11 @@
 
 // Deterministic batch formation for the inference service (`tpr::batch`).
 //
-// A BatchFormer sits between admission and the encoder workers. It
-// collects arriving requests into groups keyed by
-// (path, encode-time, generation) and flushes a batch when either
+// A BatchFormer<Member> is a former of payloads: it sits between
+// admission and the encoder workers, collects each arriving member (the
+// service's admitted request; a ticket in the tests) into a group under
+// the caller's key, and flushes a batch — which then owns its members
+// outright — when either
 //
 //   * the pending batch reaches max_batch distinct groups (size flush), or
 //   * the oldest pending arrival is max_ticks logical ticks old (age
@@ -19,27 +21,28 @@
 // goes quiet — is wall-clock triggered and changes only WHICH batch a
 // request rides in, never its outcome; see serve/service.h.)
 //
-// Coalescing. When `coalesce` is on, requests for the same path in the
-// same time bucket share one group: the group is encoded ONCE at the
-// bucket-representative time (bucket * time_bucket_s — the exact
-// contract of the serve rung-1 cache, so the embedding is a pure
-// function of the group key) and the result fans out to every waiter.
-// With coalescing off, every request is its own group keyed by ticket
-// and encodes at its exact departure time.
+// Coalescing. When `coalesce` is on, arrivals with the same key, path
+// and encode time share one group: the group is encoded ONCE at the
+// bucket-representative time (EncodeTime: bucket * time_bucket_s — the
+// exact contract of the serve rung-1 cache, so the embedding is a pure
+// function of the group key) and the result fans out to every member.
+// With coalescing off the former never joins groups: every arrival is
+// its own group and encodes at its exact departure time.
 //
-// The serve layer keys its group-level fault verdicts ("batch-flush",
-// grouped "encoder-forward" retries, "quant-encode") by a coalesced
-// group's GroupHash and by the request id of an uncoalesced one
-// (InferenceService::GroupKey), never by the batch: the verdict for a
-// group is the same whether its batch flushed by size, by age, or by
-// idle drain.
+// There is one group key: the caller's. tpr::serve passes the request's
+// InferenceService::GroupKey — a coalesced group's GroupHash, or the
+// request id when coalescing is off — and keys every group-level fault
+// verdict ("batch-flush", grouped "encoder-forward" retries,
+// "quant-encode") by it, never by the batch: the verdict for a group is
+// the same whether its batch flushed by size, by age, or by idle drain.
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/road_network.h"
+#include "util/logging.h"
 
 namespace tpr::batch {
 
@@ -65,67 +68,109 @@ struct BatchConfig {
 /// unparsable variables leave the default untouched.
 BatchConfig FromEnv(BatchConfig defaults = {});
 
+/// The coalesced group key for (path, encode_time, salt). Pure; `salt`
+/// carries the caller's extra identity (tpr::serve passes the pinned
+/// model generation so coalesced groups are generation-homogeneous).
+uint64_t GroupHash(const graph::Path& path, int64_t encode_time_s,
+                   uint64_t salt);
+
+/// The time a request's group encodes at: the bucket-representative
+/// time when `config` coalesces, the exact departure time otherwise.
+int64_t EncodeTime(const BatchConfig& config, int64_t depart_time_s);
+
 /// One formed group: a path to encode once at `encode_time_s`, fanned
-/// out to every ticket that joined it.
+/// out to every member that joined it.
+template <typename Member>
 struct FormedGroup {
-  uint64_t key_hash = 0;
+  uint64_t key = 0;  // the caller's group key
   graph::Path path;
   int64_t encode_time_s = 0;
-  std::vector<uint64_t> tickets;
+  std::vector<Member> members;  // arrival order
 };
 
 /// One flushed batch, in group-arrival order.
+template <typename Member>
 struct FormedBatch {
   uint64_t seq = 0;  // 0-based flush sequence number
-  std::vector<FormedGroup> groups;
+  std::vector<FormedGroup<Member>> groups;
 
   size_t total_requests() const {
     size_t n = 0;
-    for (const auto& g : groups) n += g.tickets.size();
+    for (const auto& g : groups) n += g.members.size();
     return n;
   }
 };
 
 /// Single-threaded batch former (the service calls it under its lock).
+template <typename Member>
 class BatchFormer {
  public:
-  explicit BatchFormer(const BatchConfig& config);
+  using Batch = FormedBatch<Member>;
 
-  /// The group key for (path, encode_time, salt). Pure; `salt` carries
-  /// the caller's extra identity (tpr::serve passes the pinned model
-  /// generation so coalesced groups are generation-homogeneous).
-  static uint64_t GroupHash(const graph::Path& path, int64_t encode_time_s,
-                            uint64_t salt);
+  explicit BatchFormer(const BatchConfig& config) : config_(config) {
+    TPR_CHECK(config_.max_batch > 0);
+    TPR_CHECK(config_.max_ticks > 0);
+    TPR_CHECK(config_.time_bucket_s > 0);
+  }
 
-  /// The time a request's group encodes at: the bucket-representative
-  /// time when coalescing, the exact departure time otherwise.
-  int64_t EncodeTime(int64_t depart_time_s) const;
-
-  /// Adds a request. `salt` must be stable for the request (see
-  /// GroupHash); with coalescing off the former mixes in the ticket, so
-  /// every request is its own group. Returns the flushed batch when this
-  /// arrival filled it to max_batch groups.
-  std::optional<FormedBatch> Arrive(uint64_t ticket, const graph::Path& path,
-                                    int64_t depart_time_s, uint64_t salt);
+  /// Adds `member` under the caller's `key`; when coalescing it joins a
+  /// pending group with the same key, path and encode time. `path` may
+  /// refer into `member`: it is read before `member` is moved from.
+  /// Returns the flushed batch when this arrival filled it to max_batch
+  /// groups.
+  std::optional<Batch> Arrive(Member&& member, uint64_t key,
+                              const graph::Path& path,
+                              int64_t encode_time_s) {
+    if (config_.coalesce) {
+      for (FormedGroup<Member>& g : pending_) {
+        if (g.key == key && g.encode_time_s == encode_time_s &&
+            g.path == path) {
+          g.members.push_back(std::move(member));
+          return std::nullopt;  // joined an existing group: no growth
+        }
+      }
+    }
+    if (pending_.empty()) oldest_arrival_time_ = logical_time_;
+    FormedGroup<Member>& g = pending_.emplace_back();
+    g.key = key;
+    g.path = path;
+    g.encode_time_s = encode_time_s;
+    g.members.push_back(std::move(member));
+    if (pending_.size() >= static_cast<size_t>(config_.max_batch)) {
+      return FlushAll();
+    }
+    return std::nullopt;
+  }
 
   /// Advances logical time by one tick. Returns the flushed batch when
   /// the oldest pending arrival has aged out.
-  std::optional<FormedBatch> Tick();
+  std::optional<Batch> Tick() {
+    ++logical_time_;
+    if (!pending_.empty() &&
+        logical_time_ - oldest_arrival_time_ >=
+            static_cast<uint64_t>(config_.max_ticks)) {
+      return FlushAll();
+    }
+    return std::nullopt;
+  }
 
   /// Unconditionally flushes whatever is pending (service idle drain and
   /// shutdown). Returns nullopt when nothing is pending.
-  std::optional<FormedBatch> FlushAll();
+  std::optional<Batch> FlushAll() {
+    if (pending_.empty()) return std::nullopt;
+    Batch batch;
+    batch.seq = next_seq_++;
+    batch.groups.swap(pending_);
+    return batch;
+  }
 
   bool has_pending() const { return !pending_.empty(); }
   int pending_groups() const { return static_cast<int>(pending_.size()); }
-  uint64_t logical_time() const { return logical_time_; }
   const BatchConfig& config() const { return config_; }
 
  private:
-  std::optional<FormedBatch> Flush();
-
   BatchConfig config_;
-  std::deque<FormedGroup> pending_;  // group-arrival order
+  std::vector<FormedGroup<Member>> pending_;  // group-arrival order
   uint64_t logical_time_ = 0;
   uint64_t oldest_arrival_time_ = 0;  // logical time of pending_.front()
   uint64_t next_seq_ = 0;

@@ -47,21 +47,7 @@ batch::BatchConfig FormerConfig(const ServiceConfig& config) {
 }  // namespace
 
 void InferenceService::ObserveRungLatency(Rung rung, double seconds) const {
-  if (!obs::MetricsEnabled()) return;
-  switch (rung) {
-    case Rung::kFull:
-      metrics_.histogram("serve.rung_full_seconds").Observe(seconds);
-      break;
-    case Rung::kQuantized:
-      metrics_.histogram("serve.rung_quantized_seconds").Observe(seconds);
-      break;
-    case Rung::kCached:
-      metrics_.histogram("serve.rung_cached_seconds").Observe(seconds);
-      break;
-    case Rung::kFallback:
-      metrics_.histogram("serve.rung_fallback_seconds").Observe(seconds);
-      break;
-  }
+  rung_latency_[static_cast<size_t>(rung)]->Observe(seconds);
 }
 
 const char* RungName(Rung r) {
@@ -95,9 +81,15 @@ InferenceService::InferenceService(
       encoder_config_(encoder_config),
       config_(ApplyQuantEnv(config)),
       metrics_(config_.metrics_prefix),
+      requests_(metrics_.counter("serve.requests")),
+      queue_depth_(metrics_.gauge("serve.queue_depth")),
       batches_(metrics_.counter("serve.batches")),
       batched_requests_(metrics_.counter("serve.batched_requests")),
       batch_coalesced_(metrics_.counter("serve.batch_coalesced")),
+      rung_latency_{&metrics_.histogram("serve.rung_full_seconds"),
+                    &metrics_.histogram("serve.rung_quantized_seconds"),
+                    &metrics_.histogram("serve.rung_cached_seconds"),
+                    &metrics_.histogram("serve.rung_fallback_seconds")},
       former_(FormerConfig(config_)) {
   TPR_CHECK(features_ != nullptr);
   TPR_CHECK(config_.num_workers > 0);
@@ -268,7 +260,7 @@ ServiceHealth InferenceService::Health() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceHealth h;
   h.started = started_ && !stopping_;
-  h.queue_depth = static_cast<int>(waiting_.size());
+  h.queue_depth = static_cast<int>(unprocessed_);
   h.canary_installed = canary_ != nullptr;
   if (live_ != nullptr) {
     h.generation = live_->generation;
@@ -358,31 +350,35 @@ Status InferenceService::Start() {
 }
 
 void InferenceService::Shutdown() {
-  std::unordered_map<uint64_t, Request> orphaned;
+  std::deque<batch::FormedBatch<Request>> unprocessed;
   std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    // Claim the waiting requests AND the worker threads under the lock so
-    // racing Shutdown calls (or Shutdown vs destructor) each join a
-    // disjoint — possibly empty — set of threads instead of double-joining.
-    // Every unprocessed request — pending in the former or sitting in a
-    // formed-but-unpopped batch — is still parked in waiting_ (workers
-    // extract members atomically with the pop), so failing waiting_
-    // covers ready_'s batches too.
-    orphaned.swap(waiting_);
-    ready_.clear();
+    // Claim the unprocessed requests — pending in the former or in a
+    // formed-but-unpopped batch — AND the worker threads under the lock,
+    // so racing Shutdown calls (or Shutdown vs destructor) each fail and
+    // join a disjoint, possibly empty, set instead of doubling up.
+    if (auto pending = former_.FlushAll()) {
+      ready_.push_back(*std::move(pending));
+    }
+    unprocessed.swap(ready_);
+    unprocessed_ = 0;
     workers.swap(workers_);
   }
   not_empty_.notify_all();
   not_full_.notify_all();
-  for (auto& entry : orphaned) {
-    ServeResult result = entry.second.Outcome();
-    result.status = Status::Unavailable("service shutting down");
-    entry.second.promise.set_value(std::move(result));
+  for (auto& b : unprocessed) {
+    for (auto& group : b.groups) {
+      for (Request& req : group.members) {
+        ServeResult result = req.Outcome();
+        result.status = Status::Unavailable("service shutting down");
+        req.promise.set_value(std::move(result));
+      }
+    }
   }
   for (auto& t : workers) t.join();
-  if (!workers.empty()) metrics_.gauge("serve.queue_depth").Set(0);
+  if (!workers.empty()) queue_depth_.Set(0);
 }
 
 bool InferenceService::PredictRung0Skip(const Request& req) const {
@@ -496,8 +492,9 @@ uint64_t InferenceService::GroupKey(const Request& req) const {
   // uncoalesced request is a group of its own, keyed by its id: a batch
   // of one draws the verdicts, jitter and delay of the request alone.
   if (!former_.config().coalesce) return req.query.id;
-  return batch::BatchFormer::GroupHash(
-      req.query.path, former_.EncodeTime(req.query.depart_time_s),
+  return batch::GroupHash(
+      req.query.path,
+      batch::EncodeTime(former_.config(), req.query.depart_time_s),
       req.gen->generation);
 }
 
@@ -582,7 +579,7 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
       return Status::Unavailable("service not accepting requests");
     }
     req.ticket = next_ticket_++;
-    metrics_.counter("serve.requests").Add(1);
+    requests_.Add(1);
     // Injected admission failure: behaves exactly like a full queue.
     if (fault::ShouldFail(fault::kQueueFull, req.ticket)) {
       metrics_.counter("serve.shed").Add(1);
@@ -590,25 +587,27 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
     }
     // The capacity bound covers every unprocessed request — pending in
     // the former or waiting on a formed batch.
-    if (waiting_.size() >= static_cast<size_t>(config_.queue_capacity)) {
+    const size_t capacity = static_cast<size_t>(config_.queue_capacity);
+    if (unprocessed_ >= capacity) {
       if (!config_.block_when_full) {
         metrics_.counter("serve.shed").Add(1);
         return Status::ResourceExhausted(
-            "queue full (" + std::to_string(waiting_.size()) + ")");
+            "queue full (" + std::to_string(unprocessed_) + ")");
       }
-      not_full_.wait(lock, [this] {
-        return stopping_ ||
-               waiting_.size() < static_cast<size_t>(config_.queue_capacity);
+      not_full_.wait(lock, [this, capacity] {
+        return stopping_ || unprocessed_ < capacity;
       });
       if (stopping_) {
         return Status::Unavailable("service shutting down");
       }
     }
     AdmitToGeneration(req);
-    const uint64_t ticket = req.ticket;
-    auto flushed = former_.Arrive(ticket, req.query.path,
-                                  req.query.depart_time_s, req.gen->generation);
-    waiting_.emplace(ticket, std::move(req));
+    const uint64_t key = req.group_key;
+    const int64_t encode_time =
+        batch::EncodeTime(former_.config(), req.query.depart_time_s);
+    auto flushed =
+        former_.Arrive(std::move(req), key, req.query.path, encode_time);
+    ++unprocessed_;
     // One logical tick per admission; ages partial batches out. An
     // arrival can fill a batch OR age one out, never both (a size flush
     // empties the former).
@@ -616,8 +615,7 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
       TPR_CHECK(!flushed.has_value());
       flushed = std::move(aged);
     }
-    metrics_.gauge("serve.queue_depth")
-        .Set(static_cast<double>(waiting_.size()));
+    queue_depth_.Set(static_cast<double>(unprocessed_));
     // Wake a worker only when a batch actually flushed — idle workers
     // otherwise drain partial batches prematurely.
     notify = flushed.has_value();
@@ -641,8 +639,7 @@ ServeResult InferenceService::SubmitAndWait(PathQuery query,
 void InferenceService::BatchedWorkerLoop() {
   fault::ScopedShard shard_scope(config_.shard);
   for (;;) {
-    batch::FormedBatch batch;
-    std::vector<std::vector<Request>> members;
+    batch::FormedBatch<Request> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       while (ready_.empty()) {
@@ -653,58 +650,42 @@ void InferenceService::BatchedWorkerLoop() {
         const bool signalled = not_empty_.wait_for(
             lock, std::chrono::milliseconds(1),
             [this] { return stopping_ || !ready_.empty(); });
-        if (!signalled && ready_.empty() && former_.has_pending()) {
+        if (!signalled && ready_.empty()) {
           if (auto flushed = former_.FlushAll()) {
             ready_.push_back(std::move(*flushed));
           }
         }
       }
+      // The popped batch owns its requests: each is either in the former
+      // or ready_ (and fails Unavailable at Shutdown) or owned by exactly
+      // one worker — never both.
       batch = std::move(ready_.front());
       ready_.pop_front();
-      // Extract the members atomically with the pop: a request is either
-      // in waiting_ (and fails Unavailable at Shutdown) or owned by
-      // exactly one worker — never both.
-      members.reserve(batch.groups.size());
-      for (const auto& group : batch.groups) {
-        std::vector<Request> reqs;
-        reqs.reserve(group.tickets.size());
-        for (uint64_t ticket : group.tickets) {
-          auto it = waiting_.find(ticket);
-          TPR_CHECK(it != waiting_.end());
-          reqs.push_back(std::move(it->second));
-          waiting_.erase(it);
-        }
-        members.push_back(std::move(reqs));
-      }
-      metrics_.gauge("serve.queue_depth")
-          .Set(static_cast<double>(waiting_.size()));
+      unprocessed_ -= batch.total_requests();
+      queue_depth_.Set(static_cast<double>(unprocessed_));
     }
     not_full_.notify_all();
-    ProcessBatch(batch, members);
+    ProcessBatch(batch);
   }
 }
 
-void InferenceService::ProcessBatch(batch::FormedBatch& batch,
-                                    std::vector<std::vector<Request>>& members) {
+void InferenceService::ProcessBatch(batch::FormedBatch<Request>& batch) {
   Stopwatch sw;
-  const size_t n_groups = batch.groups.size();
-  size_t total = 0;
-  for (const auto& m : members) total += m.size();
+  auto& groups = batch.groups;
+  const size_t n_groups = groups.size();
+  const size_t total = batch.total_requests();
   batches_.Add(1);
   batched_requests_.Add(total);
   batch_coalesced_.Add(total - n_groups);
 
-  // Every keyed verdict of a group uses the key its members were admitted
-  // with (GroupKey), so it never depends on the batch the group rides in.
-  std::vector<uint64_t> keys(n_groups);
-  for (size_t gi = 0; gi < n_groups; ++gi) {
-    keys[gi] = members[gi].front().group_key;
-  }
-
+  // Every keyed verdict of a group uses its key — the GroupKey its
+  // members were admitted with — so it never depends on the batch the
+  // group rides in.
+  //
   // Injected worker slowness, once per batch, keyed by its first group:
   // a batch of one is delayed exactly as its request alone. Latency only
   // — deadlines are outside the determinism contract.
-  SleepMs(fault::DelayMs(fault::kSlowWorker, keys.front()));
+  SleepMs(fault::DelayMs(fault::kSlowWorker, groups.front().key));
 
   // Resolve the fates decided before any encode: breaker-open skips,
   // injected scratch-alloc failures, and injected batch-flush drops (the
@@ -712,8 +693,9 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
   // breaker signal). Everyone else queues for the batched rung-0 ladder.
   std::vector<std::vector<Request*>> pending(n_groups);
   for (size_t gi = 0; gi < n_groups; ++gi) {
-    const bool flush_drop = fault::ShouldFail(fault::kBatchFlush, keys[gi]);
-    for (Request& req : members[gi]) {
+    const bool flush_drop =
+        fault::ShouldFail(fault::kBatchFlush, groups[gi].key);
+    for (Request& req : groups[gi].members) {
       if (req.skip_rung0 || flush_drop ||
           fault::ShouldFail(fault::kAlloc,
                             MixSeed(kAllocSalt, req.query.id))) {
@@ -755,7 +737,8 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     for (size_t gi : live) {
       if (a > 0) metrics_.counter("serve.retries").Add(1);
       if (fault::ShouldFail(fault::kEncoderForward,
-                            MixSeed(keys[gi], static_cast<uint64_t>(a)))) {
+                            MixSeed(groups[gi].key,
+                                    static_cast<uint64_t>(a)))) {
         failed.push_back(gi);
       } else {
         ready.push_back(gi);
@@ -787,8 +770,8 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
         items.reserve(gis.size());
         bool all_deadlined = true;
         for (size_t gi : gis) {
-          items.push_back(core::PathTimeItem{&batch.groups[gi].path,
-                                             batch.groups[gi].encode_time_s});
+          items.push_back(
+              core::PathTimeItem{&groups[gi].path, groups[gi].encode_time_s});
           for (Request* r : pending[gi]) all_deadlined &= r->has_deadline;
         }
         // Cancel the shared forward only when EVERY waiting member is
@@ -838,7 +821,7 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
       double delay = 0.0;
       for (size_t gi : live) {
         Rng jitter(MixSeed(config_.seed,
-                           MixSeed(keys[gi], static_cast<uint64_t>(a))));
+                           MixSeed(groups[gi].key, static_cast<uint64_t>(a))));
         delay = std::max(delay, base * (0.5 + 0.5 * jitter.Uniform()));
       }
       SleepMs(delay);
@@ -861,9 +844,9 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     }
     const GenState* gen = pending[gi].front()->gen.get();
     if (gen->quant != nullptr &&
-        !fault::ShouldFail(fault::kQuantEncode, keys[gi])) {
+        !fault::ShouldFail(fault::kQuantEncode, groups[gi].key)) {
       const std::vector<core::PathTimeItem> items{
-          {&batch.groups[gi].path, batch.groups[gi].encode_time_s}};
+          {&groups[gi].path, groups[gi].encode_time_s}};
       const std::vector<std::vector<float>> encoded =
           gen->quant->EncodeValueBatch(items);
       for (Request* r : pending[gi]) {

@@ -4,13 +4,14 @@
 // In-process embedding inference service over the trained WSCCL temporal
 // path encoder.
 //
-// Requests pass admission control (shed or block when the bounded
-// waiting set is full), are processed by dedicated worker threads, and carry
-// an optional deadline that is propagated into the encoder forward pass
-// as cooperative cancellation. Transient rung-0 failures are retried
-// with deterministic jittered exponential backoff; sustained failure
-// trips a per-model-generation circuit breaker. Every request that is
-// admitted resolves — in the worst case via the degradation ladder:
+// Requests pass admission control (shed or block when queue_capacity
+// admitted requests are still unprocessed), are processed by dedicated
+// worker threads, and carry an optional deadline that is propagated into
+// the encoder forward pass as cooperative cancellation. Transient rung-0
+// failures are retried with deterministic jittered exponential backoff;
+// sustained failure trips a per-model-generation circuit breaker. Every
+// request that is admitted resolves — in the worst case via the
+// degradation ladder:
 //
 //   rung 0 (kFull)      full temporal encoder at the group encode time
 //                       (the exact request time unless coalesced)
@@ -34,18 +35,19 @@
 // Quantized failures are NEVER breaker signals: the breaker describes
 // the fp32 model's health only.
 //
-// Micro-batching. There is one pipeline: admissions feed a deterministic
-// tpr::batch::BatchFormer (flush by size or logical-ticks age, duplicate
-// (path, time-bucket, generation) keys coalesced into one encode) and
-// workers run each flushed batch through ONE tape-free rung-0 forward per
-// model generation (core/lstm_engine.h; no padding). batch_max = 0 is a
-// former with max_batch 1 and coalescing off: every request is a batch
-// of one. Every request keeps its own deadline, retry accounting, breaker
-// fold, and canary routing. Group-level fault verdicts (encoder-forward
-// attempts, batch-flush, quant-encode) and backoff jitter are keyed by
-// the group key — a coalesced group's hash, or the request id when
-// coalescing is off — so a request's outcome never depends on which
-// batch it rode in, and a batch of one draws the verdicts of its request.
+// Micro-batching. There is one pipeline: each admitted request moves into
+// a deterministic tpr::batch::BatchFormer (flush by size or logical-ticks
+// age, duplicate (path, time-bucket, generation) keys coalesced into one
+// encode), a flushed batch owns its requests, and workers run it through
+// ONE tape-free rung-0 forward per model generation (core/lstm_engine.h;
+// no padding). batch_max = 0 is a former with max_batch 1 and coalescing
+// off: every request is a batch of one. Every request keeps its own
+// deadline, retry accounting, breaker fold, and canary routing.
+// Group-level fault verdicts (encoder-forward attempts, batch-flush,
+// quant-encode) and backoff jitter are keyed by the group key — a
+// coalesced group's hash, or the request id when coalescing is off — so
+// a request's outcome never depends on which batch it rode in, and a
+// batch of one draws the verdicts of its request.
 //
 // Generations. The service holds up to TWO live model generations — the
 // incumbent and an optional canary — each with its own rung-2 cache,
@@ -78,6 +80,7 @@
 // folded at admission. Deadlines are
 // wall-clock dependent and therefore outside the contract.
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -88,7 +91,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "batch/batch.h"
@@ -389,7 +391,7 @@ class InferenceService {
       return has_deadline && std::chrono::steady_clock::now() >= deadline;
     }
     /// A result carrying only this request's identity fields (the
-    /// generation is pinned before the request is parked).
+    /// generation is pinned before the request enters the former).
     ServeResult Outcome() const {
       ServeResult r;
       r.ticket = ticket;
@@ -437,15 +439,14 @@ class InferenceService {
   /// slot, rollback drops it. Queues the resolution. Caller holds mu_.
   void ResolveCanaryLocked(CanaryVerdict verdict, const std::string& reason);
 
-  /// The one serving pipeline. Workers pop formed batches, extract their
-  /// member requests from waiting_, and run each batch through ONE
-  /// encoder forward per model generation. A worker that finds nothing
+  /// The one serving pipeline. Workers pop formed batches, which own
+  /// their member requests, and run each batch through ONE encoder
+  /// forward per model generation. A worker that finds nothing
   /// ready for ~1ms drains the former's partial batch (idle flush) — a
   /// wall-clock race that changes which batch a request rides in but
   /// never its outcome (verdicts are group-keyed).
   void BatchedWorkerLoop();
-  void ProcessBatch(batch::FormedBatch& batch,
-                    std::vector<std::vector<Request>>& members);
+  void ProcessBatch(batch::FormedBatch<Request>& batch);
 
   /// DeadlineExceeded outcome for `req` after `attempts` rung-0 attempts
   /// (reports a timed-out half-open probe as failure so the breaker
@@ -461,8 +462,7 @@ class InferenceService {
   /// Resolves TPR_QUANT against the configured quantized_rung flag.
   static ServiceConfig ApplyQuantEnv(ServiceConfig config);
 
-  /// Per-rung latency histogram, resolved through this instance's
-  /// metric scope.
+  /// Observes `seconds` in the rung's latency histogram.
   void ObserveRungLatency(Rung rung, double seconds) const;
 
   /// Rung 2: mean-pooled node2vec endpoint embeddings, zero-padded or
@@ -475,21 +475,25 @@ class InferenceService {
   const core::EncoderConfig encoder_config_;
   const ServiceConfig config_;
   const obs::MetricScope metrics_;  // prefix = config_.metrics_prefix
-  // Counted for every formed batch, i.e. every request when unbatched,
-  // so resolved once: a MetricScope lookup takes the registry's lock.
+  // Touched for every admission or every formed batch (every request
+  // when unbatched), so resolved once: a MetricScope lookup takes the
+  // registry's lock.
+  obs::Counter& requests_;
+  obs::Gauge& queue_depth_;
   obs::Counter& batches_;
   obs::Counter& batched_requests_;
   obs::Counter& batch_coalesced_;
+  std::array<obs::Histogram*, 4> rung_latency_;  // indexed by Rung
 
   mutable std::mutex mu_;  // batches + tickets + generation slots/breakers
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  // The former collects admissions into groups, waiting_ parks the
-  // admitted requests by ticket until their batch flushes into ready_.
-  // All guarded by mu_.
-  batch::BatchFormer former_;
-  std::unordered_map<uint64_t, Request> waiting_;
-  std::deque<batch::FormedBatch> ready_;
+  // An admitted request lives in the former until its group's batch
+  // flushes into ready_, and there until a worker pops it. unprocessed_
+  // counts both (the capacity bound and queue_depth). All guarded by mu_.
+  batch::BatchFormer<Request> former_;
+  std::deque<batch::FormedBatch<Request>> ready_;
+  size_t unprocessed_ = 0;
   std::shared_ptr<GenState> live_;    // incumbent; null before install
   std::shared_ptr<GenState> canary_;  // in-flight canary; usually null
   std::deque<CanaryResolution> resolutions_;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,40 +58,57 @@ nn::Tensor RandomTensor(int rows, int cols, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchFormer: deterministic formation, flushing, coalescing.
+// BatchFormer: deterministic formation, flushing, coalescing. Tickets
+// are the payload, so a formed group's members name its arrivals.
 // ---------------------------------------------------------------------------
+
+using TicketFormer = batch::BatchFormer<uint64_t>;
+
+/// Arrives `ticket` under a coalesced key over (path, encode time, salt)
+/// — the key tpr::serve computes for a coalesced group.
+std::optional<TicketFormer::Batch> ArriveKeyed(TicketFormer& former,
+                                               uint64_t ticket,
+                                               const graph::Path& path,
+                                               int64_t depart_time_s,
+                                               uint64_t salt) {
+  const int64_t encode_time = batch::EncodeTime(former.config(), depart_time_s);
+  return former.Arrive(std::move(ticket),
+                       batch::GroupHash(path, encode_time, salt), path,
+                       encode_time);
+}
 
 TEST(BatchFormerTest, GroupHashIsPureAndSensitiveToEveryComponent) {
   const graph::Path p{1, 2, 3};
-  const uint64_t h = batch::BatchFormer::GroupHash(p, 900, 7);
-  EXPECT_EQ(h, batch::BatchFormer::GroupHash(p, 900, 7));
-  EXPECT_NE(h, batch::BatchFormer::GroupHash(p, 1800, 7));
-  EXPECT_NE(h, batch::BatchFormer::GroupHash(p, 900, 8));
-  EXPECT_NE(h, batch::BatchFormer::GroupHash({1, 2}, 900, 7));
+  const uint64_t h = batch::GroupHash(p, 900, 7);
+  EXPECT_EQ(h, batch::GroupHash(p, 900, 7));
+  EXPECT_NE(h, batch::GroupHash(p, 1800, 7));
+  EXPECT_NE(h, batch::GroupHash(p, 900, 8));
+  EXPECT_NE(h, batch::GroupHash({1, 2}, 900, 7));
   // The fold offsets edge ids, so a trailing edge 0 is not a no-op.
-  EXPECT_NE(h, batch::BatchFormer::GroupHash({1, 2, 3, 0}, 900, 7));
+  EXPECT_NE(h, batch::GroupHash({1, 2, 3, 0}, 900, 7));
 }
 
 TEST(BatchFormerTest, SizeFlushAtMaxBatchDistinctGroups) {
   batch::BatchConfig cfg;
   cfg.max_batch = 3;
   cfg.max_ticks = 1000;
-  batch::BatchFormer former(cfg);
-  EXPECT_FALSE(former.Arrive(1, {1}, 0, 0).has_value());
-  EXPECT_FALSE(former.Arrive(2, {2}, 0, 0).has_value());
-  auto flushed = former.Arrive(3, {3}, 0, 0);
+  TicketFormer former(cfg);
+  EXPECT_FALSE(ArriveKeyed(former, 1, {1}, 0, 0).has_value());
+  EXPECT_FALSE(ArriveKeyed(former, 2, {2}, 0, 0).has_value());
+  auto flushed = ArriveKeyed(former, 3, {3}, 0, 0);
   ASSERT_TRUE(flushed.has_value());
   EXPECT_EQ(flushed->seq, 0u);
   ASSERT_EQ(flushed->groups.size(), 3u);
-  // Group-arrival order is preserved.
+  // Group-arrival order is preserved, and each group owns its member.
   EXPECT_EQ(flushed->groups[0].path, graph::Path{1});
   EXPECT_EQ(flushed->groups[2].path, graph::Path{3});
+  EXPECT_EQ(flushed->groups[2].members, (std::vector<uint64_t>{3}));
   EXPECT_FALSE(former.has_pending());
 
   // The next size flush gets the next sequence number.
-  (void)former.Arrive(4, {1}, 0, 0);
-  (void)former.Arrive(5, {2}, 0, 0);
-  auto second = former.Arrive(6, {3}, 0, 0);
+  (void)ArriveKeyed(former, 4, {1}, 0, 0);
+  (void)ArriveKeyed(former, 5, {2}, 0, 0);
+  auto second = ArriveKeyed(former, 6, {3}, 0, 0);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->seq, 1u);
 }
@@ -99,11 +117,11 @@ TEST(BatchFormerTest, AgeFlushAfterMaxTicksOfLogicalTime) {
   batch::BatchConfig cfg;
   cfg.max_batch = 100;
   cfg.max_ticks = 4;
-  batch::BatchFormer former(cfg);
+  TicketFormer former(cfg);
   EXPECT_FALSE(former.Tick().has_value()) << "nothing pending, nothing ages";
-  EXPECT_FALSE(former.Arrive(1, {1}, 0, 0).has_value());
+  EXPECT_FALSE(ArriveKeyed(former, 1, {1}, 0, 0).has_value());
   EXPECT_FALSE(former.Tick().has_value());
-  EXPECT_FALSE(former.Arrive(2, {2}, 0, 0).has_value());
+  EXPECT_FALSE(ArriveKeyed(former, 2, {2}, 0, 0).has_value());
   EXPECT_FALSE(former.Tick().has_value());
   EXPECT_FALSE(former.Tick().has_value());
   auto flushed = former.Tick();  // the OLDEST arrival is now 4 ticks old
@@ -117,28 +135,28 @@ TEST(BatchFormerTest, CoalesceJoinsDuplicatesWithinATimeBucket) {
   batch::BatchConfig cfg;
   cfg.max_batch = 100;
   cfg.time_bucket_s = 900;
-  batch::BatchFormer former(cfg);
+  TicketFormer former(cfg);
   const graph::Path p{4, 5};
-  EXPECT_EQ(former.EncodeTime(100), 0);
-  EXPECT_EQ(former.EncodeTime(850), 0);
-  EXPECT_EQ(former.EncodeTime(950), 900);
-  (void)former.Arrive(1, p, 100, 7);
-  (void)former.Arrive(2, p, 850, 7);  // same bucket: joins ticket 1's group
-  (void)former.Arrive(3, p, 950, 7);  // next bucket: its own group
+  EXPECT_EQ(batch::EncodeTime(cfg, 100), 0);
+  EXPECT_EQ(batch::EncodeTime(cfg, 850), 0);
+  EXPECT_EQ(batch::EncodeTime(cfg, 950), 900);
+  (void)ArriveKeyed(former, 1, p, 100, 7);
+  (void)ArriveKeyed(former, 2, p, 850, 7);  // same bucket: joins ticket 1
+  (void)ArriveKeyed(former, 3, p, 950, 7);  // next bucket: its own group
   EXPECT_EQ(former.pending_groups(), 2);
   auto flushed = former.FlushAll();
   ASSERT_TRUE(flushed.has_value());
   ASSERT_EQ(flushed->groups.size(), 2u);
-  EXPECT_EQ(flushed->groups[0].tickets, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(flushed->groups[0].members, (std::vector<uint64_t>{1, 2}));
   EXPECT_EQ(flushed->groups[0].encode_time_s, 0)
       << "a coalesced group encodes at the bucket-representative time";
-  EXPECT_EQ(flushed->groups[1].tickets, (std::vector<uint64_t>{3}));
+  EXPECT_EQ(flushed->groups[1].members, (std::vector<uint64_t>{3}));
   EXPECT_EQ(flushed->groups[1].encode_time_s, 900);
   EXPECT_EQ(flushed->total_requests(), 3u);
 
   // A different salt (another model generation) never coalesces.
-  (void)former.Arrive(4, p, 100, 7);
-  (void)former.Arrive(5, p, 100, 8);
+  (void)ArriveKeyed(former, 4, p, 100, 7);
+  (void)ArriveKeyed(former, 5, p, 100, 8);
   EXPECT_EQ(former.pending_groups(), 2);
 }
 
@@ -146,15 +164,20 @@ TEST(BatchFormerTest, CoalesceOffKeysEveryRequestByItsTicket) {
   batch::BatchConfig cfg;
   cfg.max_batch = 100;
   cfg.coalesce = false;
-  batch::BatchFormer former(cfg);
+  TicketFormer former(cfg);
   const graph::Path p{4, 5};
-  EXPECT_EQ(former.EncodeTime(850), 850) << "no bucketing without coalescing";
-  (void)former.Arrive(1, p, 850, 7);
-  (void)former.Arrive(2, p, 850, 7);
+  EXPECT_EQ(batch::EncodeTime(cfg, 850), 850)
+      << "no bucketing without coalescing";
+  // Same key, path and encode time: with coalescing off each arrival is
+  // still its own group.
+  (void)former.Arrive(1, /*key=*/42, p, 850);
+  (void)former.Arrive(2, /*key=*/42, p, 850);
   auto flushed = former.FlushAll();
   ASSERT_TRUE(flushed.has_value());
   ASSERT_EQ(flushed->groups.size(), 2u);
-  EXPECT_NE(flushed->groups[0].key_hash, flushed->groups[1].key_hash);
+  EXPECT_EQ(flushed->groups[0].members, (std::vector<uint64_t>{1}));
+  EXPECT_EQ(flushed->groups[1].members, (std::vector<uint64_t>{2}));
+  EXPECT_EQ(flushed->groups[0].key, 42u);
   EXPECT_EQ(flushed->groups[0].encode_time_s, 850);
 }
 
@@ -165,15 +188,15 @@ TEST(BatchFormerTest, FormationIsAPureFunctionOfTheArrivalTrace) {
     batch::BatchConfig cfg;
     cfg.max_batch = 5;
     cfg.max_ticks = 7;
-    batch::BatchFormer former(cfg);
+    TicketFormer former(cfg);
     std::vector<uint64_t> signature;
-    const auto fold = [&signature](std::optional<batch::FormedBatch> b) {
+    const auto fold = [&signature](std::optional<TicketFormer::Batch> b) {
       if (!b.has_value()) return;
       signature.push_back(b->seq);
       for (const auto& g : b->groups) {
-        signature.push_back(g.key_hash);
+        signature.push_back(g.key);
         signature.push_back(static_cast<uint64_t>(g.encode_time_s));
-        for (uint64_t t : g.tickets) signature.push_back(t);
+        for (uint64_t t : g.members) signature.push_back(t);
       }
     };
     Rng rng(3);
@@ -181,7 +204,7 @@ TEST(BatchFormerTest, FormationIsAPureFunctionOfTheArrivalTrace) {
       const graph::Path path{static_cast<int>(rng.Uniform() * 6),
                              static_cast<int>(rng.Uniform() * 6)};
       const int64_t depart = static_cast<int64_t>(rng.Uniform() * 4000);
-      fold(former.Arrive(ticket, path, depart, /*salt=*/1));
+      fold(ArriveKeyed(former, ticket, path, depart, /*salt=*/1));
       fold(former.Tick());  // mirrors the service: one tick per admission
     }
     fold(former.FlushAll());
@@ -664,7 +687,7 @@ TEST_F(BatchTest, BatchedRetryRecoversFromATransientGroupFault) {
     const int64_t bucket =
         (q.depart_time_s / cfg.time_bucket_s) * cfg.time_bucket_s;
     const uint64_t key =
-        batch::BatchFormer::GroupHash(q.path, bucket, /*salt=*/1);
+        batch::GroupHash(q.path, bucket, /*salt=*/1);
     if (fault::WouldFail(fault::kEncoderForward, MixSeed(key, 0)) &&
         !fault::WouldFail(fault::kEncoderForward, MixSeed(key, 1))) {
       found = true;
@@ -697,7 +720,7 @@ TEST_F(BatchTest, ShutdownResolvesEveryWaitingBatchedRequest) {
   svc.Shutdown();
   int unavailable = 0;
   for (auto& f : futures) {
-    serve::ServeResult r = f.get();  // promises parked in waiting_ too
+    serve::ServeResult r = f.get();  // still in the former or ready_ too
     EXPECT_TRUE(r.status.ok() ||
                 r.status.code() == StatusCode::kUnavailable)
         << r.status.ToString();

@@ -773,6 +773,57 @@ TEST_F(ServeTest, ShutdownWakesAndShedsBlockedSubmitters) {
   EXPECT_EQ(queued->get().status.code(), StatusCode::kUnavailable);
 }
 
+TEST_F(ServeTest, BatchedCapacityBoundCountsRequestsPendingInTheFormer) {
+  ServiceConfig cfg = TinyService();
+  cfg.num_workers = 1;
+  cfg.batch_max = 64;
+  cfg.batch_ticks = 1000;
+  cfg.queue_capacity = 4;
+  cfg.block_when_full = false;
+  InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+  ASSERT_TRUE(svc.Start().ok());
+  Install("slow-worker:delay_ms=500");
+
+  // The worker's idle drain takes the first request as a batch of one
+  // and sleeps in it. Nothing else can flush while it sleeps: 64 groups
+  // never arrive and 1000 ticks never pass.
+  auto busy = svc.Submit(Query(0, 1));
+  ASSERT_TRUE(busy.ok());
+  for (int i = 0; i < 2000 && svc.Health().queue_depth != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(svc.Health().queue_depth, 0) << "the worker never took it";
+
+  // Four requests pending in the former fill the capacity bound.
+  std::vector<std::future<ServeResult>> pending;
+  for (int i = 1; i <= 4; ++i) {
+    auto submitted = svc.Submit(Query(i, 10 + static_cast<uint64_t>(i)));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    pending.push_back(std::move(*submitted));
+    EXPECT_EQ(svc.Health().queue_depth, i);
+  }
+  EXPECT_EQ(obs::GetGauge("serve.queue_depth").value(), 4.0);
+  auto over = svc.Submit(Query(5, 20));
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(obs::GetCounter("serve.shed").value(), 1u);
+  EXPECT_EQ(svc.Health().queue_depth, 4);
+
+  // Shutdown fails what the former holds and lets the worker finish the
+  // batch it holds; each future resolves once, with its own ticket.
+  svc.Shutdown();
+  EXPECT_EQ(svc.Health().queue_depth, 0);
+  const ServeResult done = busy->get();
+  EXPECT_TRUE(done.status.ok()) << done.status.ToString();
+  EXPECT_EQ(done.ticket, 0u);
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const ServeResult r = pending[i].get();
+    EXPECT_EQ(r.status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(r.ticket, i + 1);
+  }
+}
+
 TEST_F(ServeTest, ConcurrentShutdownJoinsWorkersExactlyOnce) {
   InferenceService svc(features(), TinyEncoder(), TinyService());
   svc.InstallModel(
